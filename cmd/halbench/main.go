@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	halbench [-quick] [-seed N] [-shards N] [-csv] [-cpuprofile f] [-memprofile f] [experiment ...]
+//	halbench [-quick] [-seed N] [-csv] [-cpuprofile f] [-memprofile f] [experiment ...]
 //
 // With no experiment arguments it runs all of them. Valid names: tab1,
 // fig2, fig3, fig4, fig5, fig8, fig9, fig10, tab2, tab5, costs, ablation,
@@ -19,23 +19,13 @@
 // on a previously zero-alloc benchmark.
 //
 // The experiment name "cluster" runs the fleet-scale sentinels — a
-// 64-server (and, without -quick, 256-server) HAL fleet behind a shared
-// ingress — once on the serial engine and once on the parallel engine,
-// and writes BENCH_cluster.json (override with -benchout). Both rows
-// live in one snapshot so the fleet speedup is read off a single file;
-// -baseline and -baseline-tolerance gate it like bench.
+// 64-server (and, without -quick, 256- and 1024-server) HAL fleet behind
+// a shared ingress — and writes BENCH_cluster.json (override with
+// -benchout); -baseline and -baseline-tolerance gate it like bench.
 //
 // Exit codes (shared with halsim, see internal/cliutil): 0 success,
 // 1 runtime failure / failed validation run / -baseline regression,
 // 2 usage error (unknown experiment, bad flag, invalid fault plan).
-//
-// -shards N (N > 1) runs every simulation on the conservative-parallel
-// engine; results are byte-identical to serial runs, only wall time
-// changes. Snapshots record GOMAXPROCS, the CPU count, the shard count,
-// and the engine mode; -baseline fails (does not warn) when the two
-// snapshots' engine modes or shard counts differ, and when a parallel
-// run is diffed against a baseline taken at a different GOMAXPROCS —
-// those comparisons measure the execution strategy, not a regression.
 package main
 
 import (
@@ -68,7 +58,6 @@ func emit(t experiments.Table) {
 func main() {
 	quick := flag.Bool("quick", false, "shorter simulations (noisier numbers)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	shards := flag.Int("shards", 0, "run simulations on the parallel engine with this many shards (0/1 = serial; results are byte-identical)")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -76,7 +65,6 @@ func main() {
 	baseline := flag.String("baseline", "", "bench/cluster: compare against this BENCH_*.json snapshot; exit nonzero on an ns/op regression beyond -baseline-tolerance")
 	baselineTol := flag.Float64("baseline-tolerance", 25, "bench/cluster: percent a benchmark's ns/op may grow over -baseline before the run fails")
 	benchN := flag.Int("benchN", 3, "bench: measure each benchmark this many times and keep the fastest run")
-	prof := flag.Bool("prof", false, "bench: print the parallel engine's flight-recorder summary for the sentinels (needs -shards > 1)")
 	showVersion := flag.Bool("version", false, "print the build commit and exit")
 	flag.Parse()
 	if *showVersion {
@@ -85,10 +73,10 @@ func main() {
 	}
 	emitCSV = *csv
 	// run returns instead of calling os.Exit so the profile defers flush.
-	os.Exit(run(*quick, *seed, *shards, *benchN, *prof, *baselineTol, *cpuprofile, *memprofile, *benchOut, *baseline, flag.Args()))
+	os.Exit(run(*quick, *seed, *benchN, *baselineTol, *cpuprofile, *memprofile, *benchOut, *baseline, flag.Args()))
 }
 
-func run(quick bool, seed int64, shards, benchN int, prof bool, baselineTol float64, cpuprofile, memprofile, benchOut, baseline string, names []string) int {
+func run(quick bool, seed int64, benchN int, baselineTol float64, cpuprofile, memprofile, benchOut, baseline string, names []string) int {
 	if baselineTol < 0 {
 		fmt.Fprintln(os.Stderr, "halbench: -baseline-tolerance must be >= 0 (a percentage)")
 		return cliutil.ExitUsage
@@ -121,7 +109,7 @@ func run(quick bool, seed int64, shards, benchN int, prof bool, baselineTol floa
 		}()
 	}
 
-	opt := experiments.Options{Seed: seed, Shards: shards}
+	opt := experiments.Options{Seed: seed}
 	if quick {
 		opt.Duration = 80 * sim.Millisecond
 		opt.TraceDuration = 200 * sim.Millisecond
@@ -263,7 +251,7 @@ func run(quick bool, seed int64, shards, benchN int, prof bool, baselineTol floa
 		},
 	}
 	runners["bench"] = func(o experiments.Options) error {
-		return runBenchSuite(o, quick, benchN, prof, tol, benchOut, baseline)
+		return runBenchSuite(o, quick, benchN, tol, benchOut, baseline)
 	}
 	runners["cluster"] = func(o experiments.Options) error {
 		return runClusterSuite(o, quick, benchN, tol, benchOut, baseline)

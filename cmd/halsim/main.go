@@ -9,7 +9,6 @@
 //	halsim -mode slb -fn NAT -rate 80 -slb-cores 4 -slb-th 20
 //	halsim -mode hal -fn NAT -rate 60 -fault core-crash -fault-cores 4
 //	halsim -mode hal -fn NAT -rate 80 -timeline run.csv -trace-out run.trace.json
-//	halsim -mode hal -fn NAT -rate 80 -duration 1s -shards 4
 //	halsim run examples/scenarios/chaos-soak.yaml -report report.md
 //	halsim validate examples/scenarios/*.yaml
 package main
@@ -58,8 +57,6 @@ func main() {
 		workload = flag.String("workload", "", "web | cache | hadoop datacenter trace")
 		duration = flag.Duration("duration", 300*time.Millisecond, "simulated duration")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 0, "run on the conservative-parallel engine with this many shards (0/1 = serial; results are byte-identical)")
-		profFlag = flag.Bool("prof", false, "record the parallel engine's flight recorder (needs -shards > 1): window spans, stall attribution, lookahead-slack series")
 		useCXL   = flag.Bool("cxl", false, "attach the SNIC over CXL (coherent shared state)")
 
 		servers  = flag.Int("servers", 0, "fleet size: run N full servers behind one shared ingress and a modeled ToR fabric (0 = single server)")
@@ -99,8 +96,8 @@ func main() {
 	// A positional argument is a scenario file — `halsim scenario.yaml` is
 	// shorthand for `halsim run scenario.yaml`. The file owns the run
 	// configuration, so simulation and fault flags alongside it are a usage
-	// error, not a silent precedence rule; only -seed and -shards act as
-	// documented overrides, and telemetry/report export flags compose.
+	// error, not a silent precedence rule; only -seed acts as a documented
+	// override, and telemetry/report export flags compose.
 	if flag.NArg() > 0 {
 		if flag.NArg() > 1 {
 			usageErr("want one scenario file, have %d arguments (%v)", flag.NArg(), flag.Args())
@@ -115,12 +112,10 @@ func main() {
 				conflicts = append(conflicts, "-"+f.Name)
 			case "seed":
 				ov.Seed = *seed
-			case "shards":
-				ov.Shards = *shards
 			}
 		})
 		if len(conflicts) > 0 {
-			usageErr("%s already defines the run; drop %s (use -seed/-shards to override, or edit the scenario)",
+			usageErr("%s already defines the run; drop %s (use -seed to override, or edit the scenario)",
 				flag.Arg(0), strings.Join(conflicts, ", "))
 		}
 		executeScenario(flag.Arg(0), ov, *reportMD, *reportHTML, artifactPaths{
@@ -128,7 +123,6 @@ func main() {
 			timelineJSON: *timelineJSON,
 			traceOut:     *traceOut,
 			metricsOut:   *metricsOut,
-			prof:         *profFlag,
 		})
 		return
 	}
@@ -136,7 +130,7 @@ func main() {
 		usageErr("-report/-report-html need a scenario file (see `halsim run`)")
 	}
 
-	cfg := server.Config{FnConfig: *fnCfg, Seed: *seed, Functional: *function, Shards: *shards}
+	cfg := server.Config{FnConfig: *fnCfg, Seed: *seed, Functional: *function}
 	switch strings.ToLower(*modeFlag) {
 	case "host":
 		cfg.Mode = server.HostOnly
@@ -189,7 +183,6 @@ func main() {
 
 	// Observability: any telemetry output flag opts the run into the
 	// corresponding collector; with none of them the layer stays off.
-	cfg.Telemetry.Prof = *profFlag
 	if *timelineCSV != "" || *timelineJSON != "" {
 		cfg.Telemetry.Timeline = true
 		cfg.Telemetry.TimelinePeriod = sim.Duration(*timelinePer)
@@ -278,12 +271,6 @@ func main() {
 	if cfg.PipelineOn {
 		fmt.Printf("+%v", cfg.Pipeline)
 	}
-	if *shards > 1 {
-		// Surface fallbacks: a Shards request the partition cannot host
-		// prints "serial (reason)" here instead of silently differing in
-		// wall time only.
-		fmt.Printf(" engine=%s", res.Engine)
-	}
 	fmt.Println()
 	fmt.Printf("  offered     %8.2f Gbps\n", res.OfferedGbps)
 	fmt.Printf("  delivered   %8.2f Gbps avg, %.2f Gbps best 10ms window\n", res.AvgGbps, res.MaxGbps)
@@ -317,55 +304,10 @@ func main() {
 			res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd)
 	}
 	fmt.Printf("  [%d packets simulated in %v]\n", res.Sent, time.Since(start).Round(time.Millisecond))
-	if *profFlag {
-		printProfSummary(res, time.Since(start))
-	}
 
 	writeArtifacts(res, *timelineCSV, *timelineJSON, *traceOut, *metricsOut)
 	if stopTelemetry != nil {
 		stopTelemetry()
-	}
-}
-
-// printProfSummary prints the flight recorder's console digest: stall
-// attribution, slack utilization, and the wall-clock split (the one place
-// the nondeterministic wall numbers surface).
-func printProfSummary(res server.Result, wall time.Duration) {
-	rec := res.Prof
-	if rec == nil {
-		fmt.Printf("  prof        no recording (engine=%s; -prof needs the parallel engine, use -shards > 1)\n", res.Engine)
-		return
-	}
-	fmt.Printf("  prof        %d rounds", rec.Rounds)
-	if e, ok := rec.BindingLink(); ok {
-		fmt.Printf(", binding link %s->%s (%d windows, %.1f%% of paced)", e.SrcName, e.DstName, e.Windows, e.Share*100)
-	}
-	fmt.Println()
-	for i := 0; i < rec.NumLanes(); i++ {
-		l := rec.LaneAt(i)
-		fmt.Printf("    lp %-5s %d windows (%.1f%% paced), %d parks, %d batches/%d msgs (max %d)\n",
-			l.Name(), l.WindowCount, rec.PacedShare(i)*100, l.Parks, l.Injects, l.InjectedMsgs, l.MaxBatch)
-	}
-	for _, ls := range rec.Links() {
-		util, decl := "-", "unconstrained"
-		if u := ls.Utilization(); u > 0 {
-			util = fmt.Sprintf("%.0f%%", u*100)
-		}
-		if ls.Declared >= 0 {
-			decl = ls.Declared.String()
-		}
-		fmt.Printf("    link %s->%s declared %s, observed floor %v, %d tightenings, utilization %s\n",
-			ls.SrcName, ls.DstName, decl, ls.Floor, len(ls.Points), util)
-	}
-	if wall > 0 {
-		barrier := float64(rec.BarrierWallNS) / float64(wall.Nanoseconds()) * 100
-		plan := float64(rec.PlanWallNS) / float64(wall.Nanoseconds()) * 100
-		fmt.Printf("    wall: %.1f%% barriers, %.1f%% planning, latch wait %v (nondeterministic)\n",
-			barrier, plan, time.Duration(rec.LatchWaitTotalNS()).Round(time.Microsecond))
-	}
-	for _, wl := range rec.Wheels() {
-		fmt.Printf("    wheel %-5s %d cascades, %d overflow, slab high water %d\n",
-			wl.Name, wl.Stats.Cascades, wl.Stats.Overflow, wl.Stats.SlabHighWater)
 	}
 }
 
@@ -396,21 +338,8 @@ func writeArtifacts(res server.Result, csvPath, jsonPath, tracePath, metricsPath
 		write(csvPath, "timeline", res.Timeline.WriteCSV)
 		write(jsonPath, "timeline-json", res.Timeline.WriteJSON)
 	}
-	switch {
-	case res.Trace != nil && res.Prof != nil:
-		// A profiled run exports the combined document: packet spans with
-		// LP attribution plus the recorder's per-LP window lanes.
-		write(tracePath, "trace-out", func(w io.Writer) error {
-			return telemetry.WriteProfTrace(w, res.Trace, res.Prof)
-		})
-	case res.Trace != nil:
+	if res.Trace != nil {
 		write(tracePath, "trace-out", res.Trace.WriteTrace)
-	case res.Prof != nil:
-		// Cluster runs have no packet tracer; the document carries the
-		// recorder's per-server lp:* lanes alone.
-		write(tracePath, "trace-out", func(w io.Writer) error {
-			return telemetry.WriteProfTrace(w, nil, res.Prof)
-		})
 	}
 	if res.Metrics != nil {
 		write(metricsPath, "metrics-out", res.Metrics.WriteText)

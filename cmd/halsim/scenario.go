@@ -12,7 +12,7 @@ import (
 
 // The scenario subcommands:
 //
-//	halsim run scenario.yaml [-seed N] [-shards N] [-report f.md] [-report-html f.html]
+//	halsim run scenario.yaml [-seed N] [-report f.md] [-report-html f.html]
 //	halsim validate scenario.yaml...
 //
 // run executes the scenario, prints the assertion verdicts, and exits 0
@@ -37,7 +37,6 @@ func parseInterleaved(fs *flag.FlagSet, args []string) []string {
 // flag-based path.
 type artifactPaths struct {
 	timelineCSV, timelineJSON, traceOut, metricsOut string
-	prof                                            bool
 }
 
 func runCmd(args []string) {
@@ -48,7 +47,6 @@ func runCmd(args []string) {
 	}
 	var (
 		seed       = fs.Int64("seed", 0, "override the scenario's seed (0 = use the file's)")
-		shards     = fs.Int("shards", 0, "override the scenario's shard count (0 = use the file's)")
 		reportMD   = fs.String("report", "", "write the Markdown run report to this file ('-' for stdout)")
 		reportHTML = fs.String("report-html", "", "write the HTML run report to this file")
 		arts       artifactPaths
@@ -57,14 +55,13 @@ func runCmd(args []string) {
 	fs.StringVar(&arts.timelineJSON, "timeline-json", "", "write the time series (plus latency buckets) as JSON")
 	fs.StringVar(&arts.traceOut, "trace-out", "", "write a sampled packet-lifecycle trace (Chrome trace-event JSON)")
 	fs.StringVar(&arts.metricsOut, "metrics-out", "", "write the final counter registry in Prometheus text format ('-' for stdout)")
-	fs.BoolVar(&arts.prof, "prof", false, "record the parallel engine's flight recorder (needs shards > 1); adds the report's Parallel profile section")
 	files := parseInterleaved(fs, args)
 	if len(files) != 1 {
 		fmt.Fprintf(os.Stderr, "halsim run: want exactly one scenario file, have %d\n\n", len(files))
 		fs.Usage()
 		os.Exit(cliutil.ExitUsage)
 	}
-	executeScenario(files[0], scenario.Overrides{Seed: *seed, Shards: *shards},
+	executeScenario(files[0], scenario.Overrides{Seed: *seed},
 		*reportMD, *reportHTML, arts)
 }
 
@@ -119,9 +116,6 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 	if arts.traceOut != "" && s.Run.Telemetry.TraceEvery == 0 {
 		s.Run.Telemetry.TraceEvery = 64
 	}
-	if arts.prof {
-		s.Run.Telemetry.Prof = true
-	}
 
 	start := time.Now()
 	o, err := s.Execute(ov)
@@ -151,9 +145,6 @@ func executeScenario(path string, ov scenario.Overrides, reportMD, reportHTML st
 		fmt.Println(line + ")")
 	}
 	fmt.Printf("  [%d packets simulated in %v]\n", res.Sent, time.Since(start).Round(time.Millisecond))
-	if arts.prof {
-		printProfSummary(res, time.Since(start))
-	}
 
 	writeReport := func(path, what string, fn func(w *os.File) error) {
 		if path == "" {

@@ -91,9 +91,8 @@ type (
 // ClusterConfig asks for a fleet: Config.Cluster = &ClusterConfig{Servers:
 // N} runs N complete servers (up to 4096) behind one shared ingress and a
 // modeled ToR fabric — flat star by default, or a two-tier pod/ToR/spine
-// topology with oversubscribable uplinks when Pods >= 2 — each server
-// group its own logical process under Config.Shards. The Result is the
-// fleet aggregate; latency percentiles are ingress round trips, fabric
+// topology with oversubscribable uplinks when Pods >= 2. The Result is
+// the fleet aggregate; latency percentiles are ingress round trips, fabric
 // included.
 type ClusterConfig = server.ClusterConfig
 
@@ -203,7 +202,7 @@ func NewFabricCapped(kind FabricKind, nodes, linesPerNode int) *cxl.Fabric {
 // template, timed fault events and/or a seeded chaos generator, and a
 // block of assertions checked against the run's results. Execute runs it;
 // the returned ScenarioOutcome renders Markdown/HTML reports. Same scenario
-// + same seed ⇒ byte-identical reports, at any shard count.
+// + same seed ⇒ byte-identical reports.
 type Scenario = scenario.Scenario
 
 // ScenarioOutcome is one executed scenario: compiled inputs, Result, and
@@ -211,7 +210,7 @@ type Scenario = scenario.Scenario
 type ScenarioOutcome = scenario.Outcome
 
 // ScenarioOverrides are the knobs a caller may vary without editing the
-// scenario file (seed, shard count).
+// scenario file (the seed).
 type ScenarioOverrides = scenario.Overrides
 
 // ParseScenario decodes and validates one scenario document.

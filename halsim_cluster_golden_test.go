@@ -13,12 +13,9 @@ import (
 // goldenClusterRuns renders a battery of fleet runs into one text
 // artifact, the cluster counterpart of goldenRuns: every numeric Result
 // field printed with %v, compared byte-exactly against
-// testdata/golden_cluster_runs.txt. The same fixture must hold at any
-// shard count (serial, a few groups, one server per LP) and with
-// telemetry or the flight recorder on — the fleet partition along fabric
-// links is only admissible because it is bit-exact, and the observers
-// are read-only by contract.
-func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) string {
+// testdata/golden_cluster_runs.txt. The same fixture must hold with
+// telemetry on — the observers are read-only by contract.
+func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig) string {
 	t.Helper()
 	var b strings.Builder
 	line := func(name string, res halsim.Result) {
@@ -32,7 +29,7 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	// Round-robin fleet under pressure: dispatch is blind, so the
 	// per-server HLBs absorb the load and some servers drop.
 	res, err := halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel,
 			Cluster: &halsim.ClusterConfig{Servers: 8}},
 		halsim.RunConfig{Duration: 6 * halsim.Millisecond, RateGbps: 200})
 	if err != nil {
@@ -44,7 +41,7 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	// the dispatcher's in-flight counts route around the dead server, the
 	// conservation ledger still closes to zero.
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel,
 			Cluster: &halsim.ClusterConfig{Servers: 8, Dispatch: "p2c",
 				Crashes: []halsim.ServerCrash{{Server: 3, At: 1 * halsim.Millisecond, For: 1 * halsim.Millisecond}}}},
 		halsim.RunConfig{Duration: 4 * halsim.Millisecond, RateGbps: 120, Drain: true,
@@ -61,7 +58,7 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	// Non-HAL fleet (no LBP director) with a slower fabric: the sampler
 	// path without control state, wire latency dominating the RTT.
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.SNICOnly, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,
+		halsim.Config{Mode: halsim.SNICOnly, Fn: halsim.NAT, Seed: 7, Telemetry: tel,
 			Cluster: &halsim.ClusterConfig{Servers: 5, WireNS: 10 * halsim.Microsecond, LinkGbps: 25}},
 		halsim.RunConfig{Duration: 6 * halsim.Millisecond, RateGbps: 50})
 	if err != nil {
@@ -71,7 +68,7 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 
 	// A heavier function across a mid-size fleet.
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.REM, Seed: 7, Telemetry: tel, Shards: shards,
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.REM, Seed: 7, Telemetry: tel,
 			Cluster: &halsim.ClusterConfig{Servers: 12, Dispatch: "p2c"}},
 		halsim.RunConfig{Duration: 6 * halsim.Millisecond, RateGbps: 150})
 	if err != nil {
@@ -79,10 +76,9 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	}
 	line("fleet12/p2c/HAL/REM", res)
 
-	// Fleet scale: 64 servers. At shards >= 4 this exercises many servers
-	// per group LP; at shards 65+ one server per LP.
+	// Fleet scale: 64 servers.
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel,
 			Cluster: &halsim.ClusterConfig{Servers: 64}},
 		halsim.RunConfig{Duration: 3 * halsim.Millisecond, RateGbps: 400})
 	if err != nil {
@@ -91,12 +87,10 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig, shards int) str
 	line("fleet64/rr/HAL/NAT", res)
 
 	// Datacenter scale: 1024 servers in 8 pods behind 4:1 oversubscribed
-	// ToR uplinks, least-conn dispatch. At shards 65 the partition crosses
-	// the old single-word bitset ceiling (65 worker LPs need two mask
-	// words); pods span group LPs, so the ingress-side pod-uplink
-	// serialization path is exercised under every engine.
+	// ToR uplinks, least-conn dispatch: exercises the pod-uplink
+	// serialization path in both directions.
 	res, err = halsim.Run(
-		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel, Shards: shards,
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel,
 			Cluster: &halsim.ClusterConfig{Servers: 1024, Dispatch: "least-conn",
 				Pods: 8, Oversub: 4}},
 		halsim.RunConfig{Duration: halsim.Millisecond, RateGbps: 1024})
@@ -123,7 +117,7 @@ func compareClusterGolden(t *testing.T, got, label string) {
 // TestClusterGoldenDeterminism locks the fleet runner's numeric output to
 // a committed fixture on the serial engine.
 func TestClusterGoldenDeterminism(t *testing.T) {
-	got := goldenClusterRuns(t, halsim.TelemetryConfig{}, 0)
+	got := goldenClusterRuns(t, halsim.TelemetryConfig{})
 	path := filepath.Join("testdata", "golden_cluster_runs.txt")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -137,43 +131,11 @@ func TestClusterGoldenDeterminism(t *testing.T) {
 	compareClusterGolden(t, got, "serial cluster battery")
 }
 
-// TestClusterGoldenParallel runs the battery with a handful of server
-// groups per run (Shards 4 → ingress + 3 groups) against the SAME serial
-// fixture.
-func TestClusterGoldenParallel(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is written by TestClusterGoldenDeterminism")
-	}
-	compareClusterGolden(t, goldenClusterRuns(t, halsim.TelemetryConfig{}, 4), "parallel (shards=4) cluster battery")
-}
-
-// TestClusterGoldenWideParallel maximizes the partition — up to one
-// server per logical process (65 shards covers the 64-server run; smaller
-// fleets cap at servers+1 workers) — and must still match the serial
-// fixture byte-for-byte.
-func TestClusterGoldenWideParallel(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is written by TestClusterGoldenDeterminism")
-	}
-	compareClusterGolden(t, goldenClusterRuns(t, halsim.TelemetryConfig{}, 65), "wide parallel (shards=65) cluster battery")
-}
-
 // TestClusterGoldenTelemetryOn enables the timeline and registry across
 // the serial battery: fleet telemetry is read-only, so the fixture holds.
 func TestClusterGoldenTelemetryOn(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestClusterGoldenDeterminism")
 	}
-	compareClusterGolden(t, goldenClusterRuns(t, halsim.TelemetryConfig{Timeline: true}, 0), "telemetry-on cluster battery")
-}
-
-// TestClusterGoldenParallelProfiled turns every observer on — timeline,
-// registry, flight recorder — over the parallel partition. The recorder
-// watches per-server LP lanes and fabric-link slack without perturbing
-// run-ahead planning; any divergence here means it did.
-func TestClusterGoldenParallelProfiled(t *testing.T) {
-	if *updateGolden {
-		t.Skip("fixture is written by TestClusterGoldenDeterminism")
-	}
-	compareClusterGolden(t, goldenClusterRuns(t, halsim.TelemetryConfig{Timeline: true, Prof: true}, 4), "profiled parallel cluster battery")
+	compareClusterGolden(t, goldenClusterRuns(t, halsim.TelemetryConfig{Timeline: true}), "telemetry-on cluster battery")
 }

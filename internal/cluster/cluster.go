@@ -1,12 +1,9 @@
 // Package cluster runs a fleet of complete SNIC+host servers behind one
-// shared ingress and a modeled top-of-rack fabric. Each server group is
-// its own logical process on the conservative-parallel executor: the
-// ingress/fabric LP generates and dispatches traffic, every worker LP
-// hosts one or more full server instances (HLB, faults, power model and
-// all), and the only cross-LP edges are the fabric's wire links — whose
-// microsecond latency is exactly the lookahead the run-ahead planner
-// feeds on. Serial and sharded cluster runs produce byte-identical
-// Results; telemetry and the flight recorder stay read-only observers.
+// shared ingress and a modeled top-of-rack fabric. The ingress generates
+// and dispatches traffic, every server is a full instance (HLB, faults,
+// power model and all), and requests and responses cross the fabric's
+// wire links; all of it runs on one event engine. Telemetry stays a
+// read-only observer.
 package cluster
 
 import (
@@ -17,16 +14,9 @@ import (
 	"halsim/internal/packet"
 	"halsim/internal/server"
 	"halsim/internal/sim"
-	"halsim/internal/sim/par"
 	"halsim/internal/stats"
 	"halsim/internal/telemetry"
-	"halsim/internal/telemetry/prof"
 )
-
-// maxGroups keeps worker count (groups + ingress) within the executor's
-// worker cap and the engine's eight-bit rank budget: ranks 1..groups+1
-// for the LPs plus rank 0 for the control engine must all stay below 256.
-const maxGroups = 254
 
 // seedStride spaces per-server RNG streams: server i runs with the base
 // seed offset by (i+1)*seedStride, so no two servers (or the ingress,
@@ -45,24 +35,15 @@ type crun struct {
 	cc  server.ClusterConfig
 	rc  server.RunConfig
 
-	// engs[0] is the ingress/fabric engine; engs[1..groups] the server
-	// group engines. Serial runs alias every slot (and ctrl) to one
-	// engine. ctrl carries only the telemetry tick, so a telemetry-off
-	// parallel run advances in one coordinator round.
-	engs   []*sim.Engine
-	ctrl   *sim.Engine
-	x      *par.Exec
-	pools  []*packet.Pool
-	groups int
-	grpOf  []int // server -> group
-	insts  []*server.Instance
+	eng   *sim.Engine
+	pool  *packet.Pool
+	insts []*server.Instance
 
 	src  *server.TrafficSource
 	disp dispatcher
 	fab  *fabric
 
-	// Ingress-owned state (worker 0 during windows, coordinator at
-	// barriers).
+	// Ingress state.
 	inflight    map[uint64]pend
 	outstanding []int64
 	totalPkts   []uint64 // per server, all-time dispatched
@@ -81,15 +62,13 @@ type crun struct {
 	respCall    sim.Call
 	upCall      sim.Call
 
-	// Cluster-owned telemetry (ctrl tick at barriers).
+	// Cluster-owned telemetry.
 	col        *telemetry.Collector
 	tl         *telemetry.Timeline
 	cm         *server.ClusterMetrics
-	rec        *prof.Recorder
 	telPeriod  sim.Time
 	telStop    bool
 	prevEvents uint64
-	laneNames  []string
 }
 
 type clusterPhase struct {
@@ -124,81 +103,14 @@ func Run(cfg server.Config, rc server.RunConfig) (server.Result, error) {
 	return c.collect(), nil
 }
 
-// groupOf maps server i of n onto one of g contiguous groups.
-func groupOf(i, n, g int) int { return i * g / n }
-
-// build wires engines, pools, instances, ingress and telemetry.
+// build wires the engine, pool, instances, ingress and telemetry.
 func (c *crun) build() error {
 	n := c.cc.Servers
-	parallel := c.cfg.Shards > 1 && n >= 1
-	c.groups = 1
-	if parallel {
-		c.groups = c.cfg.Shards - 1
-		if c.groups > n {
-			c.groups = n
-		}
-		if c.groups > maxGroups {
-			c.groups = maxGroups
-		}
-	}
-
-	// Engines and pools: one per worker LP in a parallel run, a single
-	// shared pair in a serial one (restoring the global free list and
-	// queue a one-engine run would have).
-	if parallel {
-		c.ctrl = sim.NewEngine()
-		c.ctrl.SetRank(0)
-		for w := 0; w <= c.groups; w++ {
-			e := sim.NewEngine()
-			e.SetRank(w + 1)
-			c.engs = append(c.engs, e)
-			c.pools = append(c.pools, packet.NewPool())
-		}
-		// Downstream messages cross the spine wire too when the fleet is
-		// podded, so that direction declares the wider (tighter-lookahead-
-		// for-free) latency; upstream the pod uplink is resolved at the
-		// ingress, so only the ToR wire is declared.
-		downLat := c.cc.WireNS
-		if c.cc.Pods > 1 {
-			downLat += c.cc.SpineWireNS
-		}
-		topo := par.Topology{Workers: c.groups + 1}
-		for g := 1; g <= c.groups; g++ {
-			topo.Links = append(topo.Links,
-				par.Link{Src: 0, Dst: g, Latency: downLat},
-				par.Link{Src: g, Dst: 0, Latency: c.cc.WireNS})
-		}
-		c.x = par.New(c.ctrl, c.engs, topo)
-	} else {
-		e := sim.NewEngine()
-		p := packet.NewPool()
-		c.ctrl = e
-		c.engs = []*sim.Engine{e}
-		c.pools = []*packet.Pool{p}
-	}
-
-	// Lane names: ingress plus each group's server range.
-	c.laneNames = []string{"ingress"}
-	for g := 0; g < c.groups; g++ {
-		lo, hi := -1, -1
-		for i := 0; i < n; i++ {
-			if groupOf(i, n, c.groups) == g {
-				if lo < 0 {
-					lo = i
-				}
-				hi = i
-			}
-		}
-		if lo == hi {
-			c.laneNames = append(c.laneNames, fmt.Sprintf("server-%d", lo))
-		} else {
-			c.laneNames = append(c.laneNames, fmt.Sprintf("servers-%d-%d", lo, hi))
-		}
-	}
+	c.eng = sim.NewEngine()
+	c.pool = packet.NewPool()
 
 	// Server instances. Each gets its own seed spacing and — when crashed
 	// — a private fault plan driving both-side Rx blackout windows.
-	c.grpOf = make([]int, n)
 	c.fab = newFabric(n, clusterShape{
 		wireNS:      c.cc.WireNS,
 		spineWireNS: c.cc.SpineWireNS,
@@ -208,29 +120,22 @@ func (c *crun) build() error {
 	})
 	c.reqCalls = make([]sim.Call, n)
 	for i := 0; i < n; i++ {
-		g := groupOf(i, n, c.groups)
-		c.grpOf[i] = g
-		w := 0
-		if len(c.engs) > 1 {
-			w = g + 1
-		}
-		eng, pool := c.engs[w], c.pools[w]
 		icfg := c.cfg
 		icfg.Cluster = nil
 		icfg.Seed = c.cfg.Seed + int64(i+1)*seedStride
 		if plan := c.crashPlan(i, icfg.Seed); plan != nil {
 			icfg.Faults = plan
 		}
-		srv, wkr := i, w
-		inst, err := server.NewInstance(icfg, c.rc, eng, pool, func(p *packet.Packet) {
-			c.respond(srv, wkr, p)
+		srv := i
+		inst, err := server.NewInstance(icfg, c.rc, c.eng, c.pool, func(p *packet.Packet) {
+			c.respond(srv, p)
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: server %d: %w", i, err)
 		}
 		c.insts = append(c.insts, inst)
 		c.reqCalls[i] = func(a any, _ int64) {
-			inst.Ingress(a.(*packet.Packet), eng.Now())
+			inst.Ingress(a.(*packet.Packet), c.eng.Now())
 		}
 	}
 
@@ -247,12 +152,11 @@ func (c *crun) build() error {
 	c.respCall = func(a any, _ int64) { c.deliver(a.(*packet.Packet)) }
 	// upCall finishes a podded response's trip at the ingress: it fires
 	// at the ToR-arrival instant, serializes the frame onto the pod's
-	// upstream uplink (podUpFree is ingress-owned — a pod can span
-	// several group LPs) and schedules the final delivery.
+	// upstream uplink and schedules the final delivery.
 	c.upCall = func(a any, srv int64) {
 		p := a.(*packet.Packet)
-		arr := c.fab.podUp(int(srv), c.engs[0].Now(), p.WireLen)
-		c.engs[0].AtCall(arr, c.respCall, p, 0)
+		arr := c.fab.podUp(int(srv), c.eng.Now(), p.WireLen)
+		c.eng.AtCall(arr, c.respCall, p, 0)
 	}
 	if len(c.rc.PhaseMarks) > 0 {
 		bounds := append([]sim.Time{0}, c.rc.PhaseMarks...)
@@ -263,19 +167,15 @@ func (c *crun) build() error {
 			})
 		}
 	}
-	src, err := server.NewTrafficSource(c.cfg, c.rc, c.engs[0], c.pools[0], c.dispatch)
+	src, err := server.NewTrafficSource(c.cfg, c.rc, c.eng, c.pool, c.dispatch)
 	if err != nil {
 		return err
 	}
 	c.src = src
 
 	// Telemetry: the collector bundle is cluster-owned; packet tracing is
-	// not supported at fleet scale (Result.Trace stays nil), everything
-	// else — timeline, registry, flight recorder — is.
-	if c.cfg.Telemetry.Prof && c.x != nil {
-		c.rec = prof.NewRecorder(c.laneNames)
-		c.x.SetRecorder(c.rec)
-	}
+	// not supported at fleet scale (Result.Trace stays nil), the timeline
+	// and registry are.
 	tcfg := c.cfg.Telemetry
 	tcfg.TraceEvery = 0
 	c.col = telemetry.New(tcfg)
@@ -317,10 +217,10 @@ func (c *crun) start() {
 	if c.rc.Workload != nil {
 		window = c.rc.Epoch
 	}
-	c.tickers = append(c.tickers, c.engs[0].Every(window, func() {
+	c.tickers = append(c.tickers, c.eng.Every(window, func() {
 		winB := c.winB
 		c.winB = 0
-		if c.engs[0].Now() <= c.rc.Warmup {
+		if c.eng.Now() <= c.rc.Warmup {
 			return
 		}
 		if g := float64(winB) * 8 / float64(window); g > c.winMaxGbps {
@@ -328,16 +228,14 @@ func (c *crun) start() {
 		}
 	}))
 	if c.rc.RateWindow > 0 {
-		c.tickers = append(c.tickers, c.engs[0].Every(c.rc.RateWindow, func() {
+		c.tickers = append(c.tickers, c.eng.Every(c.rc.RateWindow, func() {
 			c.rateSeries = append(c.rateSeries,
 				float64(c.rateWinB)*8/float64(c.rc.RateWindow))
 			c.rateWinB = 0
 		}))
 	}
 
-	// Cluster telemetry tick: a control event, so in a parallel run each
-	// sample lands at a coordinator barrier where every LP's state is
-	// quiescent and readable. Offset one nanosecond past the period so
+	// Cluster telemetry tick, offset one nanosecond past the period so
 	// the tick never shares an instant with the servers' own periodic
 	// work (all of which runs at whole-period multiples).
 	if c.col != nil {
@@ -347,9 +245,9 @@ func (c *crun) start() {
 				return
 			}
 			c.sample()
-			c.ctrl.AtCall(c.ctrl.Now()+c.telPeriod, tick, nil, 0)
+			c.eng.ScheduleCall(c.telPeriod, tick, nil, 0)
 		}
-		c.ctrl.AtCall(c.telPeriod+1, tick, nil, 0)
+		c.eng.AtCall(c.telPeriod+1, tick, nil, 0)
 	}
 
 	c.src.Start()
@@ -357,23 +255,10 @@ func (c *crun) start() {
 
 // run advances the fleet to Duration (and through the drain when asked).
 func (c *crun) run() {
-	if c.x == nil {
-		c.engs[0].RunUntil(c.rc.Duration)
-		if c.rc.Drain {
-			c.stopOffering()
-			c.engs[0].Run()
-		}
-		return
-	}
-	c.x.Start()
-	defer c.x.Shutdown()
-	c.x.AdvanceTo(c.rc.Duration)
+	c.eng.RunUntil(c.rc.Duration)
 	if c.rc.Drain {
-		// The final barrier parked every shard at Duration; the
-		// coordinator owns all state, exactly like the serial drain
-		// instant.
 		c.stopOffering()
-		c.x.DrainAll()
+		c.eng.Run()
 	}
 }
 
@@ -405,38 +290,27 @@ func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 	c.inflight[p.ID] = pend{srv: int32(i), wireLen: int32(p.WireLen)}
 	c.outstanding[i]++
 	arr := c.fab.down(i, at, p.WireLen)
-	if c.x == nil {
-		c.engs[0].AtCall(arr, c.reqCalls[i], p, 0)
-		return
-	}
-	w := c.grpOf[i] + 1
-	c.x.Send(0, w, arr, c.engs[0].AllocSeq(), c.reqCalls[i], p, 0)
+	c.eng.AtCall(arr, c.reqCalls[i], p, 0)
 }
 
-// respond carries a finished response from server srv (running on worker
-// wkr) back over the fabric's up-link to the ingress. Runs on the
-// server's engine at the response's egress instant. In a podded fleet the
-// server link only reaches the pod ToR; the pod-uplink serialization then
-// runs as an ingress event (upCall) so its shared freeAt state has a
-// single owner.
-func (c *crun) respond(srv, wkr int, p *packet.Packet) {
-	eng := c.engs[wkr]
-	arr := c.fab.up(srv, eng.Now(), p.WireLen)
+// respond carries a finished response from server srv back over the
+// fabric's up-link to the ingress, at the response's egress instant. In a
+// podded fleet the server link only reaches the pod ToR; the pod-uplink
+// serialization then runs as a separate event (upCall) at the ToR-arrival
+// instant.
+func (c *crun) respond(srv int, p *packet.Packet) {
+	arr := c.fab.up(srv, c.eng.Now(), p.WireLen)
 	call, n := c.respCall, int64(0)
 	if c.fab.pods > 1 {
 		call, n = c.upCall, int64(srv)
 	}
-	if c.x == nil {
-		eng.AtCall(arr, call, p, n)
-		return
-	}
-	c.x.Send(wkr, 0, arr, eng.AllocSeq(), call, p, n)
+	c.eng.AtCall(arr, call, p, n)
 }
 
 // deliver closes one round trip at the ingress: latency and throughput
 // accounting against the original request's dispatch record.
 func (c *crun) deliver(p *packet.Packet) {
-	now := c.engs[0].Now()
+	now := c.eng.Now()
 	pd, ok := c.inflight[p.ID]
 	if ok {
 		delete(c.inflight, p.ID)
@@ -462,7 +336,7 @@ func (c *crun) deliver(p *packet.Packet) {
 	if c.tl != nil {
 		c.tl.RecordLatency(rtt)
 	}
-	c.pools[0].Put(p)
+	c.pool.Put(p)
 }
 
 // phaseAt returns the phase histogram covering instant t, nil without
@@ -476,13 +350,10 @@ func (c *crun) phaseAt(t sim.Time) *stats.Histogram {
 	return nil
 }
 
-// sample assembles one fleet-wide telemetry sample. It runs as a control
-// event: at a coordinator barrier in a parallel run, inline in a serial
-// one — either way every counter it reads is quiescent and equals the
-// serial value at this instant.
+// sample assembles one fleet-wide telemetry sample.
 func (c *crun) sample() {
 	var s telemetry.Sample
-	s.T = c.ctrl.Now()
+	s.T = c.eng.Now()
 	nctl := 0
 	for _, inst := range c.insts {
 		if inst.AddSample(&s, c.telPeriod) {
@@ -494,28 +365,14 @@ func (c *crun) sample() {
 		s.FwdThGbps /= float64(nctl)
 		s.SNICTPGbps /= float64(nctl)
 	}
-	var ev uint64
-	for _, e := range c.distinctEngines() {
-		ev += e.Processed()
-	}
+	ev := c.eng.Processed()
 	s.Events = ev - c.prevEvents
 	c.prevEvents = ev
 	if c.tl != nil {
 		c.tl.Push(s)
 	}
-	var sent uint64
-	_, _, sp, _ := c.src.Offered()
-	sent = sp
-	c.cm.Publish(s, sent)
-}
-
-// distinctEngines lists every engine exactly once (serial runs alias
-// them all).
-func (c *crun) distinctEngines() []*sim.Engine {
-	if c.x == nil {
-		return c.engs[:1]
-	}
-	return append(append([]*sim.Engine{}, c.engs...), c.ctrl)
+	_, _, sent, _ := c.src.Offered()
+	c.cm.Publish(s, sent, ev)
 }
 
 // collect aggregates per-server Results and the ingress's own
@@ -530,7 +387,6 @@ func (c *crun) collect() server.Result {
 		Fn:        c.cfg.Fn,
 		Completed: c.lat.Count(),
 		Sent:      sentP,
-		Engine:    c.engineName(),
 	}
 	res.P50us = float64(c.lat.P50()) / 1000
 	res.P99us = float64(c.lat.P99()) / 1000
@@ -620,28 +476,13 @@ func (c *crun) collect() server.Result {
 	res.RateSeries = c.rateSeries
 	res.RateWindow = c.rc.RateWindow
 
-	if c.rec != nil {
-		c.rec.SetObservedFloors(c.x.ObservedSlack())
-		for w, e := range c.engs {
-			c.rec.AddWheel(c.laneNames[w], e.WheelStats())
-		}
-		c.rec.AddWheel("ctrl", c.ctrl.WheelStats())
-		res.Prof = c.rec
-		if c.col != nil {
-			server.PublishProf(c.col.Registry, c.rec)
-		}
-	}
+	ws := c.eng.WheelStats()
+	res.Prof = &ws
 	if c.col != nil {
 		res.Timeline = c.tl
 		res.Metrics = c.col.Registry
+		server.PublishWheel(c.col.Registry, ws)
 		c.sample()
 	}
 	return res
-}
-
-func (c *crun) engineName() string {
-	if c.x != nil {
-		return "parallel"
-	}
-	return "serial"
 }

@@ -66,16 +66,9 @@ func (s serScale) ns(wireLen int) sim.Time {
 // aggregate server bandwidth divided by the oversubscription ratio. A
 // frame then crosses TWO serialization points per direction — the pod
 // uplink (at uplinkGbps) and the server link (at linkGbps) — plus the
-// spine wire and the ToR wire. Every cross-LP message still arrives at
-// least one declared wire in the future: wireNS+spineWireNS downstream,
-// wireNS upstream (the pod uplink's upstream serialization runs as an
-// ingress-local event, so the declared group->ingress lookahead stays the
-// ToR wire alone).
-//
-// Ownership: downFree and podDownFree are ingress-owned (dispatch),
-// upFree[i] is owned by server i's LP, and podUpFree is ingress-owned —
-// pods may span several server-group LPs, so upstream pod serialization
-// is applied at the ingress (see crun.podUp), never from a server LP.
+// spine wire and the ToR wire. Upstream, the pod uplink serializes frames
+// in the order they reach the ToR: up returns the ToR arrival, and podUp
+// runs as its own event at that instant.
 type fabric struct {
 	wireNS      sim.Time
 	spineWireNS sim.Time
@@ -89,9 +82,7 @@ type fabric struct {
 	podUpFree   []sim.Time // pod p -> spine uplink serialization point
 }
 
-// podOfServer maps server i of n onto one of p contiguous pods (the same
-// arithmetic groupOf uses for LP partitioning, so pod boundaries and group
-// boundaries nest when their counts divide).
+// podOfServer maps server i of n onto one of p contiguous pods.
 func podOfServer(i, n, p int) int { return i * p / n }
 
 func newFabric(n int, cc clusterShape) *fabric {
@@ -127,7 +118,7 @@ type clusterShape struct {
 }
 
 // down sends a request toward server i at instant at; returns the arrival
-// instant at the server's NIC. Ingress-owned state. With pods the frame
+// instant at the server's NIC. With pods the frame
 // first serializes onto the pod's downstream uplink and crosses the spine
 // wire, then takes the server link exactly as the flat star would.
 func (f *fabric) down(i int, at sim.Time, wireLen int) sim.Time {
@@ -151,9 +142,7 @@ func (f *fabric) down(i int, at sim.Time, wireLen int) sim.Time {
 
 // up sends a response from server i at instant at; returns the arrival
 // instant at the ingress (flat) or at the pod ToR's uplink queue (pods —
-// the caller then finishes the trip with podUp at the ingress).
-// Server-LP-owned state: only server i's engine touches upFree[i], and
-// servers sharing a group engine touch disjoint slots single-threadedly.
+// the caller then finishes the trip with podUp at that instant).
 func (f *fabric) up(i int, at sim.Time, wireLen int) sim.Time {
 	dep := at
 	if f.upFree[i] > dep {
@@ -166,8 +155,6 @@ func (f *fabric) up(i int, at sim.Time, wireLen int) sim.Time {
 
 // podUp serializes a response from server srv's pod onto the upstream
 // uplink at instant at (its ToR arrival) and returns the ingress arrival.
-// Ingress-owned state: pods span server-group LPs, so this runs as an
-// ingress-local event, where the merged event order is the serial order.
 func (f *fabric) podUp(srv int, at sim.Time, wireLen int) sim.Time {
 	p := f.podOf[srv]
 	dep := at
@@ -179,9 +166,7 @@ func (f *fabric) podUp(srv int, at sim.Time, wireLen int) sim.Time {
 	return fin + f.spineWireNS
 }
 
-// dispatcher picks a destination server per request. Ingress-owned, so
-// every policy sees the same deterministic call sequence in serial and
-// parallel runs.
+// dispatcher picks a destination server per request.
 type dispatcher interface {
 	// pick chooses a server given the per-server in-flight counts.
 	pick(outstanding []int64) int

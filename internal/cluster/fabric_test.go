@@ -52,8 +52,8 @@ func TestPodFabricLegacyPath(t *testing.T) {
 }
 
 // TestPodFabricTwoTier covers the podded path: downstream crosses the pod
-// uplink then the server link; upstream splits between the server-LP half
-// (up) and the ingress half (podUp), and pod uplinks serialize frames
+// uplink then the server link; upstream splits between the server-link half
+// (up) and the pod-uplink half (podUp), and pod uplinks serialize frames
 // from different servers of one pod against each other.
 func TestPodFabricTwoTier(t *testing.T) {
 	// 8 servers, 2 pods, oversub 2: uplink = 4*100/2 = 200 Gbps.

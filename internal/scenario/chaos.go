@@ -12,8 +12,7 @@ import (
 
 // ChaosSpec is the seeded stress generator: it draws a
 // randomized-but-reproducible schedule of fault windows from its own RNG
-// stream, so the same scenario seed replays the same chaos — at any shard
-// count. Knobs bound the failure rate (events over a window), burstiness
+// stream, so the same scenario seed replays the same chaos. Knobs bound the failure rate (events over a window), burstiness
 // (max_overlap), and the kind mix (weights).
 type ChaosSpec struct {
 	// Seed drives the generator; 0 inherits the run seed.

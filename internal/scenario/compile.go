@@ -15,8 +15,7 @@ import (
 // Overrides are the CLI-side knobs that may vary without editing the
 // scenario file. Zero values defer to the scenario.
 type Overrides struct {
-	Seed   int64 // non-zero replaces run.seed (and a chaos seed inheriting it)
-	Shards int   // non-zero replaces run.shards
+	Seed int64 // non-zero replaces run.seed (and a chaos seed inheriting it)
 }
 
 // Compiled is a scenario lowered onto the simulator's native inputs.
@@ -30,9 +29,8 @@ type Compiled struct {
 	// followed by generated chaos draws — sorted by start time. The
 	// report renders these; assertions derive the fault span from them.
 	FaultWindows []EventSpec
-	// Seed and Shards are the effective values after overrides.
-	Seed   int64
-	Shards int
+	// Seed is the effective seed after overrides.
+	Seed int64
 }
 
 // faultSpan returns the [earliest start, latest end] of the fault windows,
@@ -61,12 +59,9 @@ func (c *Compiled) faultSpan() (from, to sim.Time, ok bool) {
 // so `halsim validate` uses it too.
 func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	r := s.Run
-	c := &Compiled{Seed: r.Seed, Shards: r.Shards}
+	c := &Compiled{Seed: r.Seed}
 	if ov.Seed != 0 {
 		c.Seed = ov.Seed
-	}
-	if ov.Shards != 0 {
-		c.Shards = ov.Shards
 	}
 
 	c.Cfg = server.Config{
@@ -77,7 +72,6 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 		Pipeline:   r.Pipeline,
 		Functional: r.Functional,
 		Seed:       c.Seed,
-		Shards:     c.Shards,
 	}
 	if r.Mode == server.SLB || r.Mode == server.SLBHost {
 		c.Cfg.SLBCores = r.SLBCores
@@ -182,7 +176,6 @@ func (s *Scenario) Compile(ov Overrides) (*Compiled, error) {
 	c.Cfg.Telemetry.Timeline = r.Telemetry.Timeline
 	c.Cfg.Telemetry.TimelinePeriod = r.Telemetry.TimelinePeriod
 	c.Cfg.Telemetry.TraceEvery = r.Telemetry.TraceEvery
-	c.Cfg.Telemetry.Prof = r.Telemetry.Prof
 	for _, a := range s.Assertions {
 		if a.WindowTo > 0 {
 			c.Cfg.Telemetry.Timeline = true

@@ -11,8 +11,8 @@ import (
 
 // The per-run report. Both renderers draw from the same row model so the
 // Markdown and HTML variants never drift, and neither includes wall-clock
-// state or the engine label — the report for a given scenario and seed is
-// byte-identical across runs and across the serial/parallel engines.
+// state — the report for a given scenario and seed is byte-identical across
+// runs.
 
 // reportSection is one titled block of label/value rows or a table.
 type reportSection struct {
@@ -48,9 +48,6 @@ func (o *Outcome) buildSections() []reportSection {
 	if r.Warmup > 0 {
 		add("warmup", r.Warmup.String())
 	}
-	// Seed is part of the scenario's identity; the shard count and engine
-	// choice are not — results are byte-identical across engines, and the
-	// report must be too.
 	add("seed", fmt.Sprintf("%d", comp.Seed))
 	if r.CXL {
 		add("cxl", "true")
@@ -171,91 +168,6 @@ func (o *Outcome) buildSections() []reportSection {
 		secs = append(secs, rt)
 	}
 
-	// Parallel profile: the flight recorder's view of where the parallel
-	// engine's time went. Present only when the run asked for it and the
-	// parallel engine executed, so the unprofiled report stays byte-identical
-	// across engines; with the recorder on, every value here is deterministic
-	// per shard count (wall-clock fields never appear).
-	if rec := res.Prof; rec != nil {
-		pp := reportSection{Title: "Parallel profile"}
-		padd := func(k, v string) { pp.Rows = append(pp.Rows, [2]string{k, v}) }
-		padd("rounds", fmt.Sprintf("%d", rec.Rounds))
-		if e, ok := rec.BindingLink(); ok {
-			padd("binding link", fmt.Sprintf("%s→%s (%d windows, %.1f%% of paced)",
-				e.SrcName, e.DstName, e.Windows, e.Share*100))
-		} else {
-			padd("binding link", "none (no window was peer-bound)")
-		}
-		var wheel []string
-		for _, wl := range rec.Wheels() {
-			wheel = append(wheel, fmt.Sprintf("%s %d cascades/%d overflow/%d slab",
-				wl.Name, wl.Stats.Cascades, wl.Stats.Overflow, wl.Stats.SlabHighWater))
-		}
-		if len(wheel) > 0 {
-			padd("wheels", strings.Join(wheel, ", "))
-		}
-		secs = append(secs, pp)
-
-		lt := reportSection{
-			Title:  "Parallel profile — LP lanes",
-			Header: []string{"lp", "windows", "paced", "parks", "batches", "msgs", "max batch"},
-		}
-		for i := 0; i < rec.NumLanes(); i++ {
-			l := rec.LaneAt(i)
-			lt.Table = append(lt.Table, []string{
-				l.Name(),
-				fmt.Sprintf("%d", l.WindowCount),
-				fmt.Sprintf("%.1f%%", rec.PacedShare(i)*100),
-				fmt.Sprintf("%d", l.Parks),
-				fmt.Sprintf("%d", l.Injects),
-				fmt.Sprintf("%d", l.InjectedMsgs),
-				fmt.Sprintf("%d", l.MaxBatch),
-			})
-		}
-		secs = append(secs, lt)
-
-		if edges := rec.TopStallEdges(); len(edges) > 0 {
-			st := reportSection{
-				Title:  "Parallel profile — stall attribution",
-				Header: []string{"edge", "windows", "share"},
-			}
-			for _, e := range edges {
-				st.Table = append(st.Table, []string{
-					e.SrcName + "→" + e.DstName,
-					fmt.Sprintf("%d", e.Windows),
-					fmt.Sprintf("%.1f%%", e.Share*100),
-				})
-			}
-			secs = append(secs, st)
-		}
-
-		if links := rec.Links(); len(links) > 0 {
-			sl := reportSection{
-				Title:  "Parallel profile — lookahead slack",
-				Header: []string{"link", "declared", "observed floor", "tightenings", "utilization"},
-			}
-			opt := func(t sim.Time) string {
-				if t < 0 {
-					return "—"
-				}
-				return t.String()
-			}
-			for _, ls := range links {
-				util := "—"
-				if u := ls.Utilization(); u > 0 {
-					util = fmt.Sprintf("%.0f%%", u*100)
-				}
-				sl.Table = append(sl.Table, []string{
-					ls.SrcName + "→" + ls.DstName,
-					opt(ls.Declared),
-					opt(ls.Floor),
-					fmt.Sprintf("%d", len(ls.Points)),
-					util,
-				})
-			}
-			secs = append(secs, sl)
-		}
-	}
 	return secs
 }
 

@@ -9,8 +9,7 @@
 // Everything is deterministic: the chaos generator draws a
 // randomized-but-reproducible schedule from the scenario seed, and the
 // per-run Markdown/HTML report carries no wall-clock state, so the same
-// scenario produces byte-identical reports across runs and across the
-// serial/parallel engines.
+// scenario produces byte-identical reports across runs.
 package scenario
 
 import (
@@ -63,7 +62,6 @@ type RunSpec struct {
 	Duration sim.Time
 	Warmup   sim.Time
 	Seed     int64
-	Shards   int
 	CXL      bool
 
 	SLBCores     int
@@ -89,15 +87,11 @@ type RunSpec struct {
 	Telemetry TelemetrySpec
 }
 
-// TelemetrySpec opts the run into the observability layer. Prof opts a
-// sharded run into the parallel flight recorder; the report then carries a
-// "Parallel profile" section (deterministic per shard count, so it is
-// excluded from the cross-engine report-identity contract).
+// TelemetrySpec opts the run into the observability layer.
 type TelemetrySpec struct {
 	Timeline       bool
 	TimelinePeriod sim.Time
 	TraceEvery     int
-	Prof           bool
 }
 
 // ClusterSpec is the scenario's `run.cluster` block.
@@ -260,7 +254,7 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 		return errf("missing required `run` section")
 	}
 	if err := checkKeys(n, "run", "mode", "fn", "fn_config", "pipeline", "rate_gbps",
-		"workload", "duration", "warmup", "seed", "shards", "cxl", "slb_cores",
+		"workload", "duration", "warmup", "seed", "cxl", "slb_cores",
 		"slb_fwd_th_gbps", "functional", "drain", "rate_window", "telemetry",
 		"cluster"); err != nil {
 		return err
@@ -352,13 +346,6 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 			return errf("run.seed: %v", err)
 		}
 	}
-	if v := n.Get("shards"); v != nil {
-		sh, err := v.Int64()
-		if err != nil {
-			return errf("run.shards: %v", err)
-		}
-		r.Shards = int(sh)
-	}
 	if v := n.Get("cxl"); v != nil {
 		if r.CXL, err = v.Bool(); err != nil {
 			return errf("run.cxl: %v", err)
@@ -445,7 +432,7 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 		r.Cluster = cl
 	}
 	if v := n.Get("telemetry"); v != nil {
-		if err := checkKeys(v, "run.telemetry", "timeline", "timeline_period", "trace_every", "prof"); err != nil {
+		if err := checkKeys(v, "run.telemetry", "timeline", "timeline_period", "trace_every"); err != nil {
 			return err
 		}
 		if t := v.Get("timeline"); t != nil {
@@ -464,11 +451,6 @@ func (s *Scenario) parseRun(n *yaml.Node) error {
 				return errf("run.telemetry.trace_every: %v", err)
 			}
 			r.Telemetry.TraceEvery = int(e)
-		}
-		if t := v.Get("prof"); t != nil {
-			if r.Telemetry.Prof, err = t.Bool(); err != nil {
-				return errf("run.telemetry.prof: %v", err)
-			}
 		}
 	}
 	return nil
@@ -576,9 +558,6 @@ func (s *Scenario) Validate() error {
 	}
 	if r.RateGbps <= 0 && r.Workload == "" {
 		return errf("run: need rate_gbps > 0 or a workload")
-	}
-	if r.Shards < 0 {
-		return errf("run.shards: negative shard count %d", r.Shards)
 	}
 	if r.RateWindow < 0 {
 		return errf("run.rate_window: negative window")

@@ -22,7 +22,6 @@ run:
   duration: 4ms
   warmup: 200us
   seed: 7
-  shards: 2
   telemetry:
     timeline: true
 events:
@@ -71,7 +70,7 @@ func TestParseFull(t *testing.T) {
 	if s.Name != "full" || s.Run.Mode != server.HAL || s.Run.Fn != nf.NAT {
 		t.Fatalf("run spec mismatch: %+v", s.Run)
 	}
-	if s.Run.Seed != 7 || s.Run.Shards != 2 || s.Run.Warmup != 200*sim.Microsecond {
+	if s.Run.Seed != 7 || s.Run.Warmup != 200*sim.Microsecond {
 		t.Fatalf("run knobs mismatch: %+v", s.Run)
 	}
 	if len(s.Events) != 2 || s.Events[0].Kind != "core-crash" || s.Events[1].DropProb != 0.1 {
@@ -118,6 +117,8 @@ func TestParseErrors(t *testing.T) {
 		{"missing run", "name: x\n", "missing required `run`"},
 		{"unknown top key", "name: x\nbogus: 1\nrun:\n  rate_gbps: 10\n  duration: 1ms\n", "unknown key"},
 		{"unknown run key", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  typo: 1\n", "unknown key"},
+		{"removed run.shards", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  shards: 4\n", `run: line 5: unknown key "shards"`},
+		{"removed run.telemetry.prof", "name: x\nrun:\n  rate_gbps: 10\n  duration: 1ms\n  telemetry:\n    prof: true\n", `run.telemetry: line 6: unknown key "prof"`},
 		{"bad mode", "name: x\nrun:\n  mode: quantum\n  rate_gbps: 10\n  duration: 1ms\n", "unknown mode"},
 		{"bad fn", "name: x\nrun:\n  fn: frobnicate\n  rate_gbps: 10\n  duration: 1ms\n", "unknown function"},
 		{"no load", "name: x\nrun:\n  duration: 1ms\n", "rate_gbps"},
@@ -240,16 +241,16 @@ func TestChaosGeneration(t *testing.T) {
 	}
 }
 
-// TestReportByteIdenticalAcrossShards is the determinism pledge: the same
-// scenario and seed produce byte-identical Markdown and HTML reports whether
-// the run used the serial engine or the conservative-parallel one.
-func TestReportByteIdenticalAcrossShards(t *testing.T) {
-	render := func(shards int) (string, string) {
+// TestReportByteIdenticalAcrossRuns is the determinism pledge: the same
+// scenario and seed produce byte-identical Markdown and HTML reports on
+// every run.
+func TestReportByteIdenticalAcrossRuns(t *testing.T) {
+	render := func() (string, string) {
 		s, err := Parse([]byte(chaosDoc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := s.Execute(Overrides{Shards: shards})
+		o, err := s.Execute(Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,16 +269,13 @@ func TestReportByteIdenticalAcrossShards(t *testing.T) {
 		}
 		return md.String(), html.String()
 	}
-	md1, html1 := render(1)
-	md4, html4 := render(4)
-	if md1 != md4 {
-		t.Errorf("markdown reports differ between shards=1 and shards=4:\n--- shards=1\n%s\n--- shards=4\n%s", md1, md4)
+	md1, html1 := render()
+	md2, html2 := render()
+	if md1 != md2 {
+		t.Errorf("markdown reports differ between runs:\n--- first\n%s\n--- second\n%s", md1, md2)
 	}
-	if html1 != html4 {
-		t.Error("HTML reports differ between shards=1 and shards=4")
-	}
-	if strings.Contains(md1, "serial") || strings.Contains(md1, "parallel") {
-		t.Error("report leaks the engine label, breaking cross-engine byte-identity")
+	if html1 != html2 {
+		t.Error("HTML reports differ between runs")
 	}
 }
 
@@ -496,16 +494,15 @@ func TestClusterScenario(t *testing.T) {
 	}
 }
 
-// TestClusterReportByteIdenticalAcrossShards extends the determinism
-// pledge to fleets: serial and partitioned cluster runs render the same
-// bytes.
-func TestClusterReportByteIdenticalAcrossShards(t *testing.T) {
-	render := func(shards int) string {
+// TestClusterReportByteIdenticalAcrossRuns extends the determinism pledge
+// to fleets: repeated cluster runs render the same bytes.
+func TestClusterReportByteIdenticalAcrossRuns(t *testing.T) {
+	render := func() string {
 		s, err := Parse([]byte(clusterDoc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := s.Execute(Overrides{Shards: shards})
+		o, err := s.Execute(Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,8 +512,8 @@ func TestClusterReportByteIdenticalAcrossShards(t *testing.T) {
 		}
 		return md.String()
 	}
-	if md1, md4 := render(1), render(4); md1 != md4 {
-		t.Errorf("fleet markdown reports differ between shards=1 and shards=4:\n--- shards=1\n%s\n--- shards=4\n%s", md1, md4)
+	if md1, md2 := render(), render(); md1 != md2 {
+		t.Errorf("fleet markdown reports differ between runs:\n--- first\n%s\n--- second\n%s", md1, md2)
 	}
 }
 
@@ -615,8 +612,8 @@ assertions:
 
 // TestClusterPodScenario lowers the pod-fabric keys (pods, oversub,
 // spine_wire) and the least-conn dispatch policy into ClusterConfig, and
-// checks a podded fleet renders byte-identical reports serial vs sharded
-// — the two-tier fabric must not break the determinism pledge.
+// checks a podded fleet renders byte-identical reports across runs — the
+// two-tier fabric must not break the determinism pledge.
 func TestClusterPodScenario(t *testing.T) {
 	s, err := Parse([]byte(podDoc))
 	if err != nil {
@@ -633,12 +630,12 @@ func TestClusterPodScenario(t *testing.T) {
 	if cl.Pods != 2 || cl.Oversub != 2 || cl.SpineWireNS != 3000 || cl.Dispatch != "least-conn" {
 		t.Fatalf("pod fabric lowered wrong: %+v", cl)
 	}
-	render := func(shards int) string {
+	render := func() string {
 		s, err := Parse([]byte(podDoc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := s.Execute(Overrides{Shards: shards})
+		o, err := s.Execute(Overrides{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -651,8 +648,8 @@ func TestClusterPodScenario(t *testing.T) {
 		}
 		return md.String()
 	}
-	if md0, md4 := render(0), render(4); md0 != md4 {
-		t.Errorf("podded fleet markdown reports differ between serial and shards=4:\n--- serial\n%s\n--- shards=4\n%s", md0, md4)
+	if md1, md2 := render(), render(); md1 != md2 {
+		t.Errorf("podded fleet markdown reports differ between runs:\n--- first\n%s\n--- second\n%s", md1, md2)
 	}
 }
 

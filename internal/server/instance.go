@@ -10,10 +10,7 @@ import (
 
 // Fleet-scale embedding: a cluster run instantiates N complete servers —
 // each the full SNIC+host pipeline of this package, faults and HLB
-// included — on engines the cluster owns. Every server in a group shares
-// that group's engine and packet pool (the same aliasing a serial run
-// uses), so one group is one logical process and the conservative-parallel
-// executor partitions the fleet along fabric links instead of PCIe lanes.
+// included — on the one engine and packet pool the cluster owns.
 
 // ClusterConfig asks for a fleet of Servers identical servers behind one
 // shared ingress. It is pure data so Config can carry it without the
@@ -27,9 +24,7 @@ type ClusterConfig struct {
 	// ties).
 	Dispatch string
 	// WireNS is the one-way ToR wire+switch latency between the ingress
-	// (or, with pods, the pod's ToR) and any server. Defaults to 2µs. It
-	// is also the fleet's lookahead: every cross-LP message travels at
-	// least one wire.
+	// (or, with pods, the pod's ToR) and any server. Defaults to 2µs.
 	WireNS sim.Time
 	// LinkGbps is the per-server link bandwidth used for serialization
 	// delay on both directions. Defaults to 100.
@@ -120,24 +115,19 @@ type Instance struct {
 }
 
 // NewInstance builds a complete server on the injected engine and pool
-// (all four LP handles alias them, exactly like a serial run) without
-// starting traffic. respond, when non-nil, receives every wire-bound
-// response at its egress instant in place of the local latency recorder;
-// the caller carries it back over the fabric. The Config must not ask for
-// shards or telemetry of its own — the cluster owns both.
+// without starting traffic. respond, when non-nil, receives every
+// wire-bound response at its egress instant in place of the local latency
+// recorder; the caller carries it back over the fabric. Telemetry in the
+// Config is ignored — the cluster owns it.
 func NewInstance(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, respond func(*packet.Packet)) (*Instance, error) {
 	if cfg.Cluster != nil {
 		return nil, fmt.Errorf("server: embedded instance with nested Cluster config")
 	}
-	cfg.Shards = 0
 	cfg.Telemetry = telemetry.Config{}
 	if err := prepare(&cfg, &rc); err != nil {
 		return nil, err
 	}
-	r := &run{cfg: cfg, rc: rc, embedded: true, respond: respond}
-	r.engCtrl, r.engNet, r.engSNIC, r.engHost = eng, eng, eng, eng
-	r.engines = []*sim.Engine{eng}
-	r.poolNet, r.poolSNIC, r.poolHost, r.poolCtrl = pool, pool, pool, pool
+	r := &run{cfg: cfg, rc: rc, eng: eng, pool: pool, embedded: true, respond: respond}
 	if err := r.build(); err != nil {
 		return nil, err
 	}
@@ -179,9 +169,7 @@ func (s *Instance) Collect() Result { return s.r.collect() }
 // sums for rates, queues, busy cores, drops, completions and power; max
 // for ring occupancies. FwdThGbps and SNICTPGbps are summed too — the
 // caller divides by the HAL-server count (the return value reports
-// whether this server contributed control state). Reads only, and only
-// state this server's engine owns, so it is safe at any barrier and, for
-// servers sharing one group engine, from that group's goroutine.
+// whether this server contributed control state). Reads only.
 func (s *Instance) AddSample(sm *telemetry.Sample, period sim.Time) bool {
 	r := s.r
 	hasCtl := false
@@ -240,7 +228,7 @@ func (s *Instance) AddSample(sm *telemetry.Sample, period sim.Time) bool {
 		sm.Drops += st.port.TotalDrops()
 		sm.FaultDrops += st.port.TotalFaultDrops() + st.faultDrops
 	}
-	sm.Completed += r.completedTotal()
+	sm.Completed += r.completed
 	sm.PowerW += r.power.LastWatts()
 	sm.HostPowerW += r.powerHost.LastWatts()
 	sm.SNICPowerW += r.powerSNIC.LastWatts()

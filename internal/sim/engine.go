@@ -53,45 +53,12 @@ func (t Time) String() string {
 // scalar for indices, generations, sizes.
 type Call func(arg any, n int64)
 
-// Same-instant tie-break keys. A seq is not a plain counter but a composite
-// word — (schedule-time << 28) | (engine rank << 20) | (per-instant counter)
-// — so that keys drawn by different engines of a sharded run are mutually
-// comparable in one uint64 compare:
-//
-//	bits 63..28  the engine clock when the event was scheduled (schedAt)
-//	bits 27..20  the scheduling engine's rank (0 in a serial run)
-//	bits 19..0   schedules issued at that instant so far, reset on advance
-//
-// For a single engine this orders events exactly like the old monotone
-// counter (the clock never moves backwards, so the word is strictly
-// increasing across schedules), which keeps serial runs bit-identical. For
-// the conservative-parallel engine (sim/par) it makes same-instant ordering
-// a pure function of when-and-where an event was scheduled, so events
-// received from another logical process merge into the destination wheel at
-// a deterministic position. The rank field is eight bits wide so a
-// thousand-server fleet can give every server group its own ranked engine
-// (up to 255 LPs plus control); the 36 bits left for schedAt still encode
-// ~68 simulated seconds, far past any experiment (runs are ms-scale), and
-// the guards below reject runs long or dense enough to overflow the fields.
-// Widening the shift is order-preserving for serial runs: keys remain
-// strictly increasing in schedule order, so pre-widening goldens are
-// unaffected.
-const (
-	seqCtrBits   = 20
-	seqRankBits  = 8
-	seqTimeShift = seqCtrBits + seqRankBits
-	seqMaxCtr    = 1<<seqCtrBits - 1
-	seqMaxRank   = 1<<seqRankBits - 1
-	// SeqMaxTime is the largest schedule instant encodable in a seq key.
-	SeqMaxTime = Time(1)<<(64-seqTimeShift) - 1
-)
-
 // event is a scheduled callback, stored by value inside the wheel slab and
 // the overflow heap. Exactly one of fn (cold path, captured closure) or
 // call (hot path, pre-bound handler + argument words) is set.
 type event struct {
 	at   Time
-	seq  uint64 // tie-break among same-time events; see the seq layout above
+	seq  uint64 // tie-break among same-time events: schedule order
 	fn   func()
 	call Call
 	arg  any
@@ -108,56 +75,15 @@ func (ev *event) before(o *event) bool {
 
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
-	q    timerWheel
-	now  Time
-	rank uint64 // preshifted into seq keys; 0 for a serial engine
-
-	// seq-key generator state: the instant the last key was drawn at and
-	// the count of keys drawn at that instant.
-	seqAt  Time
-	seqCtr uint64
-
-	curSeq    uint64 // seq of the event being dispatched (order key)
+	q         timerWheel
+	now       Time
+	seq       uint64 // schedules issued so far; the next event's tie-break key
 	processed uint64
 	stopped   bool
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
-
-// SetRank tags every seq key the engine draws with a logical-process rank
-// (0..255) so keys from different engines of a sharded run never collide.
-// Call before scheduling anything; a serial engine keeps the default rank 0.
-func (e *Engine) SetRank(rank int) {
-	if rank < 0 || rank > seqMaxRank {
-		panic(fmt.Sprintf("sim: rank %d out of range", rank))
-	}
-	e.rank = uint64(rank)
-}
-
-// nextSeq draws the next same-instant tie-break key. Within one engine the
-// keys are strictly increasing across schedules (clock monotone, counter
-// monotone within an instant), preserving the FIFO contract.
-func (e *Engine) nextSeq() uint64 {
-	if e.now != e.seqAt {
-		if e.now > SeqMaxTime {
-			panic(fmt.Sprintf("sim: instant %d exceeds seq-key range", e.now))
-		}
-		e.seqAt, e.seqCtr = e.now, 0
-	}
-	c := e.seqCtr
-	if c > seqMaxCtr {
-		panic(fmt.Sprintf("sim: more than %d events scheduled at instant %d", seqMaxCtr, e.now))
-	}
-	e.seqCtr++
-	return uint64(e.now)<<seqTimeShift | e.rank<<seqCtrBits | c
-}
-
-// AllocSeq draws a seq key at the current instant without scheduling a
-// local event. The conservative-parallel engine stamps cross-LP messages
-// with the sender's key, so an event injected into the destination wheel
-// lands exactly where a serial run would have scheduled it.
-func (e *Engine) AllocSeq() uint64 { return e.nextSeq() }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -171,8 +97,8 @@ func (e *Engine) Pending() int { return e.q.pending() }
 // WheelStats is a snapshot of the timing wheel's slow-path counters:
 // combined cascades run, events that ever took the overflow heap, and the
 // slab high-water mark (peak simultaneously-filed events). Deterministic
-// for a given seed and engine partition — the wheel's behavior is a pure
-// function of the event population.
+// for a given seed — the wheel's behavior is a pure function of the event
+// population.
 type WheelStats struct {
 	Cascades      uint64
 	Overflow      uint64
@@ -188,33 +114,6 @@ func (e *Engine) WheelStats() WheelStats {
 	}
 }
 
-// NextEventAt reports the earliest pending event time, if any.
-func (e *Engine) NextEventAt() (Time, bool) { return e.q.nextAt() }
-
-// HeadKey reports the (at, seq) order key of the earliest pending event.
-func (e *Engine) HeadKey() (Time, uint64, bool) {
-	if !e.q.findHead() {
-		return 0, 0, false
-	}
-	if e.q.headOverflow {
-		ev := e.q.overflow.peek()
-		return ev.at, ev.seq, true
-	}
-	return e.q.headAt, e.q.slab[e.q.slots0[e.q.headSlot].head].ev.seq, true
-}
-
-// OrderKey reports the global order key of the event currently being
-// dispatched: its instant and its seq. Telemetry tracers bind to it so
-// spans recorded by sharded runs can be merged back into the exact serial
-// emission order.
-func (e *Engine) OrderKey() (Time, uint64) { return e.now, e.curSeq }
-
-// AdoptOrder overrides the current dispatch order key. The parallel
-// coordinator uses it when control-plane work (fault application) runs on
-// its own engine but mutates a station: the station's tracer then stamps
-// the resulting spans with the control event's key, as a serial run would.
-func (e *Engine) AdoptOrder(seq uint64) { e.curSeq = seq }
-
 // Schedule runs fn after delay. A negative delay panics: simulated time
 // cannot move backwards.
 func (e *Engine) Schedule(delay Time, fn func()) {
@@ -229,8 +128,9 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
-	seq := e.nextSeq()
-	if ev := e.q.insertSlot(t, seq); ev != nil {
+	seq := e.seq
+	e.seq++
+	if ev := e.q.insertSlot(t); ev != nil {
 		*ev = event{at: t, seq: seq, fn: fn}
 	} else {
 		e.q.insertOverflow(event{at: t, seq: seq, fn: fn})
@@ -253,59 +153,12 @@ func (e *Engine) AtCall(t Time, call Call, arg any, n int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
 	}
-	seq := e.nextSeq()
-	if ev := e.q.insertSlot(t, seq); ev != nil {
+	seq := e.seq
+	e.seq++
+	if ev := e.q.insertSlot(t); ev != nil {
 		*ev = event{at: t, seq: seq, call: call, arg: arg, n: n}
 	} else {
 		e.q.insertOverflow(event{at: t, seq: seq, call: call, arg: arg, n: n})
-	}
-}
-
-// InjectAt schedules call(arg, n) at absolute time t under a caller-supplied
-// seq key instead of a locally drawn one. This is the cross-LP merge path of
-// the conservative-parallel engine: the key was drawn by the SENDING
-// engine's AllocSeq at send time, so splicing by key reproduces exactly the
-// slot position a serial run would have given the event. t must not precede
-// the destination clock (the lookahead window guarantees that).
-func (e *Engine) InjectAt(t Time, seq uint64, call Call, arg any, n int64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: inject at %d before now %d", t, e.now))
-	}
-	if ev := e.q.insertSlotOrdered(t, seq); ev != nil {
-		*ev = event{at: t, seq: seq, call: call, arg: arg, n: n}
-	} else {
-		e.q.insertOverflow(event{at: t, seq: seq, call: call, arg: arg, n: n})
-	}
-}
-
-// Inject is one cross-engine event for InjectBatch: the delivery instant,
-// the sender-drawn seq key, and the payload exactly as InjectAt takes them.
-type Inject struct {
-	At   Time
-	Seq  uint64
-	Call Call
-	Arg  any
-	N    int64
-}
-
-// InjectBatch splices a whole batch of foreign events into the wheel, the
-// bulk form of InjectAt used at parallel-engine delivery barriers: one call
-// per destination per barrier instead of one per message. Every consumed
-// entry is zeroed in place so the caller's reusable outbox slice does not
-// keep delivered Arg payloads (packets) reachable across windows; callers
-// truncate the batch with batch[:0] afterwards and reuse the backing array.
-func (e *Engine) InjectBatch(batch []Inject) {
-	for i := range batch {
-		m := &batch[i]
-		if m.At < e.now {
-			panic(fmt.Sprintf("sim: inject at %d before now %d", m.At, e.now))
-		}
-		if ev := e.q.insertSlotOrdered(m.At, m.Seq); ev != nil {
-			*ev = event{at: m.At, seq: m.Seq, call: m.Call, arg: m.Arg, n: m.N}
-		} else {
-			e.q.insertOverflow(event{at: m.At, seq: m.Seq, call: m.Call, arg: m.Arg, n: m.N})
-		}
-		*m = Inject{}
 	}
 }
 
@@ -339,67 +192,12 @@ func (e *Engine) RunUntil(deadline Time) {
 		}
 		ev := e.q.popHead()
 		e.now = at
-		e.curSeq = ev.seq
 		e.processed++
 		ev.dispatch()
 	}
 	if e.now < deadline && !e.stopped {
 		e.now = deadline
 	}
-}
-
-// RunBefore executes events strictly before deadline and leaves the clock
-// parked at deadline. It is the windowed-advance primitive of the parallel
-// engine: a logical process may safely run everything in [now, deadline)
-// when the coordinator has proven no message can arrive before deadline;
-// events at the deadline itself belong to the next window (or the barrier's
-// merged-instant step).
-func (e *Engine) RunBefore(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		at, ok := e.q.nextAt()
-		if !ok || at >= deadline {
-			break
-		}
-		ev := e.q.popHead()
-		e.now = at
-		e.curSeq = ev.seq
-		e.processed++
-		ev.dispatch()
-	}
-	if e.now < deadline && !e.stopped {
-		e.now = deadline
-	}
-}
-
-// PopRun executes exactly the earliest pending event, if any. The parallel
-// coordinator single-steps engines with it at barrier instants, interleaving
-// same-instant events of different logical processes in global key order.
-func (e *Engine) PopRun() {
-	if !e.q.findHead() {
-		return
-	}
-	ev := e.q.popHead()
-	e.now = ev.at
-	e.curSeq = ev.seq
-	e.processed++
-	ev.dispatch()
-}
-
-// RunAsOf dispatches call(arg, n) immediately under a logical timestamp in
-// the engine's past: the clock and order key are rewound for the duration of
-// the call and restored after. The parallel coordinator uses it to late-
-// apply cross-LP messages whose delivery instant fell inside an already-
-// executed window (provably unobservable work, e.g. response delivery): the
-// handler sees Now() == at and tracers stamp the serial order key, while the
-// engine's monotone clock is preserved for everything after. The handler
-// must not schedule events (the rewound clock would violate monotonicity).
-func (e *Engine) RunAsOf(at Time, seq uint64, call Call, arg any, n int64) {
-	saveNow, saveSeq, saveSeqAt, saveCtr := e.now, e.curSeq, e.seqAt, e.seqCtr
-	e.now, e.curSeq = at, seq
-	e.processed++
-	call(arg, n)
-	e.now, e.curSeq, e.seqAt, e.seqCtr = saveNow, saveSeq, saveSeqAt, saveCtr
 }
 
 // Run executes every pending event (including ones scheduled while running)
@@ -412,7 +210,6 @@ func (e *Engine) Run() {
 		}
 		ev := e.q.popHead()
 		e.now = ev.at
-		e.curSeq = ev.seq
 		e.processed++
 		ev.dispatch()
 	}

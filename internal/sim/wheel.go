@@ -26,12 +26,7 @@ import "math/bits"
 // construction:
 //
 //   - Direct inserts append to a slot's tail, so a level-0 slot lists one
-//     instant's events in ascending seq. On an ordered wheel (one that has
-//     received foreign events) they splice by seq instead: a mid-window
-//     injection can pre-file a foreign seq LARGER than a local seq a
-//     later schedule draws for the same instant — the sender's clock runs
-//     ahead of the destination's between synchronization points — so the
-//     append invariant only holds against other local inserts.
+//     instant's events in ascending seq.
 //   - For a fixed instant, residence level is non-increasing in seq: a
 //     level-0 insert requires the window to have reached the instant, a
 //     level-l insert happened when the instant was beyond the window (or
@@ -118,13 +113,6 @@ type timerWheel struct {
 
 	overflow eventHeap
 
-	// ordered is set once the wheel has received a foreign (injected) event.
-	// From then on slot lists are maintained as ascending-seq sequences by
-	// ordered splices — including cascade re-files, since an injected seq
-	// need not respect the residence-level invariant the serial prepend
-	// relies on. Serial wheels never set it and keep the pure append path.
-	ordered bool
-
 	// Resolved head cache: findHead fills it, popHead consumes it, and
 	// inserts at a strictly earlier time invalidate it.
 	headValid    bool
@@ -171,10 +159,10 @@ func (w *timerWheel) place(at Time) (l int, idx int, ok bool) {
 	if at < w.winEnd {
 		if at < w.winEnd-l0Slots {
 			// Below the window base: a level-0 slot would decode one lap
-			// late. Reachable only by injection — a lookahead probe
-			// (NextEventAt) may cascade the window of a parked engine past
-			// an instant a later cross-LP message still targets. The
-			// overflow heap merges by (at, seq), which is exact.
+			// late. RunUntil probes the head before parking the clock at
+			// its deadline, which can cascade the window past instants a
+			// later schedule still targets. The overflow heap merges by
+			// (at, seq), which is exact.
 			return 0, 0, false
 		}
 		return 0, int(at) & l0Mask, true
@@ -205,13 +193,11 @@ func (w *timerWheel) place(at Time) (l int, idx int, ok bool) {
 // caller to fill in place: one set of stores into the slab instead of a
 // stack construction plus a 56-byte copy. A nil return means at lies
 // beyond the horizon; the caller hands the built event to insertOverflow.
-// On an ordered wheel the local seq must splice against resident foreign
-// seqs (see the determinism contract above), so the caller passes it in.
-func (w *timerWheel) insertSlot(at Time, seq uint64) *event {
+func (w *timerWheel) insertSlot(at Time) *event {
 	if !w.inited {
 		w.init()
 	}
-	if w.headValid && (at < w.headAt || (w.ordered && at == w.headAt)) {
+	if w.headValid && at < w.headAt {
 		w.headValid = false
 	}
 	l, idx, ok := w.place(at)
@@ -232,11 +218,7 @@ func (w *timerWheel) insertSlot(at Time, seq uint64) *event {
 		n = int32(len(w.slab) - 1)
 	}
 	w.slab[n].next = -1
-	if w.ordered {
-		w.insertNodeBySeq(l, idx, n, seq)
-	} else {
-		w.appendNode(l, idx, n)
-	}
+	w.appendNode(l, idx, n)
 	w.size++
 	return &w.slab[n].ev
 }
@@ -245,78 +227,6 @@ func (w *timerWheel) insertSlot(at Time, seq uint64) *event {
 func (w *timerWheel) insertOverflow(ev event) {
 	w.overflowed++
 	w.overflow.push(ev)
-}
-
-// insertSlotOrdered files a slab cell for a foreign event whose seq key was
-// drawn by another engine, splicing it into the slot list at its ascending-
-// seq position instead of appending. The head cache is invalidated on an
-// equal-time insert too: a foreign seq may precede the resolved head's.
-func (w *timerWheel) insertSlotOrdered(at Time, seq uint64) *event {
-	if !w.inited {
-		w.init()
-	}
-	w.ordered = true
-	if w.headValid && at <= w.headAt {
-		w.headValid = false
-	}
-	l, idx, ok := w.place(at)
-	if !ok {
-		if at < w.above0Min {
-			w.above0Min = at
-		}
-		return nil
-	}
-	if l > 0 && at < w.above0Min {
-		w.above0Min = at
-	}
-	n := w.free
-	if n >= 0 {
-		w.free = w.slab[n].next
-	} else {
-		w.slab = append(w.slab, wheelNode{})
-		n = int32(len(w.slab) - 1)
-	}
-	w.slab[n].next = -1
-	w.insertNodeBySeq(l, idx, n, seq)
-	w.size++
-	return &w.slab[n].ev
-}
-
-// insertNodeBySeq links node n into slot (l, idx) keeping the list sorted by
-// ascending seq. With composite seq keys a sorted-by-seq list is exactly the
-// same-instant firing order, and sorting across instants sharing an upper
-// slot is harmless (level-0 arrival re-sorts by instant). The tail check
-// keeps the common in-order case O(1).
-func (w *timerWheel) insertNodeBySeq(l, idx int, n int32, seq uint64) {
-	s := w.slotRef(l, idx)
-	if s.tail < 0 {
-		s.head, s.tail = n, n
-		w.occSet(l, idx)
-		return
-	}
-	if w.slab[s.tail].ev.seq <= seq {
-		w.slab[s.tail].next = n
-		s.tail = n
-		return
-	}
-	if seq < w.slab[s.head].ev.seq {
-		w.slab[n].next = s.head
-		s.head = n
-		return
-	}
-	p := s.head
-	for {
-		nx := w.slab[p].next
-		if nx < 0 || seq < w.slab[nx].ev.seq {
-			w.slab[n].next = nx
-			w.slab[p].next = n
-			if nx < 0 {
-				s.tail = n
-			}
-			return
-		}
-		p = nx
-	}
 }
 
 func (w *timerWheel) slotRef(l, idx int) *wheelSlot {
@@ -514,17 +424,7 @@ func (w *timerWheel) cascade(candSlot *[wheelLevels]int, candAt *[wheelLevels]Ti
 			// source slot's span, which fits the wheel by construction.
 			panic("sim: cascade overflow")
 		}
-		if w.ordered {
-			// A wheel holding foreign events cannot assume the residence-
-			// level invariant (an injected seq is not monotone with local
-			// inserts), so re-file by seq instead of prepending. The stale
-			// batch link must be severed first: the splice's tail and
-			// first-node paths leave next untouched.
-			w.slab[nd].next = -1
-			w.insertNodeBySeq(nl, idx, nd, w.slab[nd].ev.seq)
-		} else {
-			w.prependNode(nl, idx, nd)
-		}
+		w.prependNode(nl, idx, nd)
 	}
 }
 

@@ -238,3 +238,49 @@ func FuzzWheelSameInstantFIFO(f *testing.F) {
 		}
 	})
 }
+
+// Regression: RunUntil resolves the head before parking the clock at its
+// deadline, which cascades the level-0 window up to the earliest pending
+// event — possibly far past the parked clock. A later schedule can then
+// target an instant at or after the clock but BELOW the advanced window's
+// base; filing it into a level-0 slot would decode one 4096 ns lap late.
+// place must route such instants to the overflow heap, where the (at, seq)
+// merge is exact.
+func TestScheduleBelowWindowBase(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	rec := func(any, int64) { fired = append(fired, e.Now()) }
+
+	// A lone far event: after the park below, the wheel's window covers its
+	// 4096-aligned neighborhood, thousands of ns past the clock.
+	e.AtCall(50_000, rec, nil, 0)
+	e.RunUntil(100) // parks now=100 without firing anything
+	if len(fired) != 0 || e.Now() != 100 {
+		t.Fatalf("after RunUntil(100): fired %v, now %v", fired, e.Now())
+	}
+
+	// Schedule at 200: legal (>= now), yet far below the advanced window base.
+	e.AtCall(200, rec, nil, 0)
+	e.RunUntil(10_000)
+	if len(fired) != 1 || fired[0] != 200 {
+		t.Fatalf("fired = %v, want [200]", fired)
+	}
+	e.Run()
+	if len(fired) != 2 || fired[1] != 50_000 {
+		t.Fatalf("fired = %v, want [200 50000]", fired)
+	}
+
+	// Same-instant schedules below the base must still fire in schedule
+	// order, ahead of the wheel resident that set the window.
+	e2 := NewEngine()
+	var order []int64
+	rec2 := func(_ any, n int64) { order = append(order, n) }
+	e2.AtCall(90_000, rec2, nil, 9)
+	e2.RunUntil(50)
+	e2.AtCall(300, rec2, nil, 1)
+	e2.AtCall(300, rec2, nil, 2)
+	e2.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 9 {
+		t.Fatalf("order = %v, want [1 2 9]", order)
+	}
+}

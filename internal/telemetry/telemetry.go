@@ -53,15 +53,6 @@ type Config struct {
 	// counted as truncated rather than recorded.
 	TraceCap int
 
-	// Prof opts a parallel run (Config.Shards > 1, partition admissible)
-	// into the flight recorder (telemetry/prof): per-shard window spans
-	// with stall attribution, per-link lookahead-slack series, InjectBatch
-	// sizes, and wheel counters, surfaced as Result.Prof. Serial runs
-	// ignore it — the recorder measures the parallel engine itself. Like
-	// every collector it is read-only: the simulation's Result and the
-	// default artifacts are byte-identical with it on or off.
-	Prof bool
-
 	// Registry, when non-nil, is an externally owned metric registry the
 	// run publishes into (the -telemetry-addr HTTP endpoint shares one
 	// registry between the simulation loop and the exposition server).

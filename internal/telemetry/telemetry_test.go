@@ -3,8 +3,10 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"halsim/internal/sim"
@@ -291,5 +293,53 @@ func TestRegistryHTTP(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "halsim_power_w 200") {
 		t.Fatalf("metrics endpoint body:\n%s", buf.String())
+	}
+}
+
+// TestRegistryConcurrentExposition hammers the registry from writer
+// goroutines while the exposition path renders — the -telemetry-addr server
+// races a live run exactly like this; run under -race this is the proof the
+// mutex covers every surface.
+func TestRegistryConcurrentExposition(t *testing.T) {
+	reg := NewRegistry()
+	ids := make([]MetricID, 8)
+	for i := range ids {
+		ids[i] = reg.Gauge(fmt.Sprintf("halsim_test_g%d", i), "test gauge")
+	}
+	const writers, iters = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := reg.Counter(fmt.Sprintf("halsim_test_c%d", w), "test counter")
+			for i := 0; i < iters; i++ {
+				reg.Set(ids[(w+i)%len(ids)], float64(i))
+				reg.Add(c, 1)
+			}
+		}(w)
+	}
+	for i := 0; i < 100; i++ {
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() == 0 {
+			t.Fatal("empty exposition mid-run")
+		}
+	}
+	wg.Wait()
+	if reg.Len() != len(ids)+writers {
+		t.Fatalf("registered %d metrics, want %d", reg.Len(), len(ids)+writers)
+	}
+	var final bytes.Buffer
+	if err := reg.WriteText(&final); err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < writers; w++ {
+		want := fmt.Sprintf("halsim_test_c%d %d", w, iters)
+		if !bytes.Contains(final.Bytes(), []byte(want)) {
+			t.Fatalf("final exposition missing %q:\n%s", want, final.String())
+		}
 	}
 }
