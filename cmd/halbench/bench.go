@@ -169,11 +169,11 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, tol float64,
 }
 
 // compareBaseline diffs the fresh snapshot against a stored one: one line
-// per shared benchmark with the ns/op and allocs/op deltas, then an error
-// if any ns/op grew beyond tol (the -baseline-tolerance flag, as a
-// fraction). Allocation growth on the pinned-zero benchmarks is always a
-// failure — the zero-alloc hot path is a correctness property here, not a
-// performance preference.
+// per shared benchmark with the ns/op, B/op and allocs/op deltas (B/op is
+// report-only), then an error if any ns/op grew beyond tol (the
+// -baseline-tolerance flag, as a fraction). Allocation growth on the
+// pinned-zero benchmarks is always a failure — the zero-alloc hot path is
+// a correctness property here, not a performance preference.
 func compareBaseline(cur benchSnapshot, baselinePath string, tol float64) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -214,8 +214,11 @@ func compareBaseline(cur benchSnapshot, baselinePath string, tol float64) error 
 			regressed = append(regressed, fmt.Sprintf("%s ns/op %+.1f%%", r.Name, delta*100))
 		}
 		allocNote := ""
+		if b.BytesPerOp > 0 {
+			allocNote = fmt.Sprintf("  B/op %+.1f%%", float64(r.BytesPerOp-b.BytesPerOp)/float64(b.BytesPerOp)*100)
+		}
 		if r.AllocsPerOp != b.AllocsPerOp {
-			allocNote = fmt.Sprintf("  allocs %d -> %d", b.AllocsPerOp, r.AllocsPerOp)
+			allocNote += fmt.Sprintf("  allocs %d -> %d", b.AllocsPerOp, r.AllocsPerOp)
 			if b.AllocsPerOp == 0 && r.AllocsPerOp > 0 {
 				regressed = append(regressed, fmt.Sprintf("%s allocs/op 0 -> %d", r.Name, r.AllocsPerOp))
 				mark = "  <-- REGRESSION"

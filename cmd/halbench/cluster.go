@@ -16,8 +16,8 @@ import (
 )
 
 // runClusterSuite measures the fleet-scale sentinels: a whole HAL fleet
-// (64 servers; 256 and a podded 1024 without -quick) behind one shared
-// ingress with p2c dispatch. -baseline gates ns/op growth at
+// (64 servers; 256 and podded 1024 and 4096 without -quick) behind one
+// shared ingress with p2c dispatch. -baseline gates ns/op growth at
 // -baseline-tolerance like bench does.
 func runClusterSuite(opt experiments.Options, quick bool, repeat int, tol float64, outPath, baselinePath string) error {
 	if repeat < 1 {
@@ -50,13 +50,14 @@ func runClusterSuite(opt experiments.Options, quick bool, repeat int, tol float6
 		servers, pods int
 		dur           sim.Time
 	}
-	// Fleet1024 runs the two-tier pod fabric (8 pods, 4:1 oversubscribed
-	// uplinks) over a shorter window so the non-quick suite stays minutes,
-	// not tens of minutes; the flat-star sentinels keep their durations so
-	// rows stay comparable against older baselines.
+	// Fleet1024 and Fleet4096 run the two-tier pod fabric (8 pods, 4:1
+	// oversubscribed uplinks) over a shorter window so the non-quick suite
+	// stays minutes, not tens of minutes; the flat-star sentinels keep
+	// their durations so rows stay comparable against older baselines.
 	rows := []fleetRow{{64, 0, dur}}
 	if !quick {
-		rows = append(rows, fleetRow{256, 0, dur}, fleetRow{1024, 8, sim.Millisecond})
+		rows = append(rows, fleetRow{256, 0, dur}, fleetRow{1024, 8, sim.Millisecond},
+			fleetRow{4096, 8, sim.Millisecond})
 	}
 	var benches []namedBench
 	for _, fr := range rows {

@@ -20,12 +20,20 @@ const DefaultRingSize = 1024
 // DefaultBurst is the rte_eth_rx_burst batch size.
 const DefaultBurst = 32
 
+// minRingBuf is the first buffer a ring allocates on its first arrival.
+const minRingBuf = 16
+
 // RxQueue is one bounded Rx ring. Arriving packets beyond capacity are
-// tail-dropped, as a NIC does when descriptors run out.
+// tail-dropped, as a NIC does when descriptors run out. The buffer starts
+// empty and doubles whenever it fills, up to the descriptor count, so a
+// ring whose occupancy stays low never pays for its full descriptor array.
 type RxQueue struct {
 	buf   []*packet.Packet
 	head  int
 	count int
+	// size is the descriptor count: the occupancy at which the ring
+	// tail-drops and the largest buffer it grows to.
+	size int
 
 	// impair, when non-nil, is an injected ring fault shared across the
 	// port's queues: descriptors are corrupted with probability prob and
@@ -52,7 +60,17 @@ func NewRxQueue(size int) *RxQueue {
 	if size <= 0 {
 		panic(fmt.Sprintf("dpdk: ring size %d", size))
 	}
-	return &RxQueue{buf: make([]*packet.Packet, size)}
+	return &RxQueue{size: size}
+}
+
+// grow doubles the full buffer (from minRingBuf, capped at the descriptor
+// count), re-linearising the queued packets from head.
+func (q *RxQueue) grow() {
+	n := min(max(2*len(q.buf), minRingBuf), q.size)
+	buf := make([]*packet.Packet, n)
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // Enqueue places p at the ring tail, returning false (and counting a drop)
@@ -63,8 +81,11 @@ func (q *RxQueue) Enqueue(p *packet.Packet) bool {
 		return false
 	}
 	if q.count == len(q.buf) {
-		q.Drops++
-		return false
+		if q.count == q.size {
+			q.Drops++
+			return false
+		}
+		q.grow()
 	}
 	// head < len and count <= len, so one conditional wrap replaces the
 	// integer division a modulo would cost per packet.
@@ -126,8 +147,9 @@ func (q *RxQueue) Pop() *packet.Packet {
 // Count returns the current occupancy — rte_eth_rx_queue_count.
 func (q *RxQueue) Count() int { return q.count }
 
-// Cap returns the ring size.
-func (q *RxQueue) Cap() int { return len(q.buf) }
+// Cap returns the ring size (the descriptor count, however much of the
+// buffer has been allocated so far).
+func (q *RxQueue) Cap() int { return q.size }
 
 // Port groups the per-core Rx rings of one interface and spreads arrivals
 // across them RSS-style (hash of the flow identity; we use the packet's

@@ -58,6 +58,8 @@ type Table struct {
 }
 
 // NewTable returns a table translating to extIP with the given capacity.
+// Its maps start unsized and grow with the live flows, so a table whose
+// function never processes a request costs no buckets.
 func NewTable(extIP uint32, capacity int) *Table {
 	if capacity <= 0 {
 		panic("natfn: capacity must be positive")
@@ -65,8 +67,8 @@ func NewTable(extIP uint32, capacity int) *Table {
 	t := &Table{
 		extIP:    extIP,
 		capacity: capacity,
-		entries:  make(map[flowKey]*entry, capacity),
-		byExt:    make(map[uint16]*entry, capacity),
+		entries:  make(map[flowKey]*entry),
+		byExt:    make(map[uint16]*entry),
 		nextPort: 1024,
 	}
 	t.head.prev = &t.head

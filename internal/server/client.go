@@ -95,6 +95,38 @@ type client struct {
 	ticker     *sim.Ticker
 }
 
+// newClient builds the open-loop generator for cfg/rc on eng: payloads
+// come from gen (genAlt for mix-tagged packets) and every packet is handed
+// to emit at its arrival instant. cfg/rc must be normalized.
+func newClient(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Pool, gen, genAlt nf.RequestGen, emit func(*packet.Packet, sim.Time)) (*client, error) {
+	c := &client{
+		eng:           eng,
+		pool:          pool,
+		warmupEnd:     rc.Warmup,
+		genAlt:        genAlt,
+		mixFrac:       cfg.MixFraction,
+		mixFracBefore: cfg.MixFractionBefore,
+		mixShiftAt:    cfg.MixShiftAt,
+		rng:           rand.New(rand.NewSource(cfg.Seed + 9)),
+		addr:          clientAddr,
+		dst:           snicAddr,
+		rateGbps:      rc.RateGbps,
+		sizes:         rc.Sizes,
+		gen:           gen,
+		emit:          emit,
+		epoch:         rc.Epoch,
+		endAt:         rc.Duration,
+	}
+	if rc.Workload != nil {
+		g, err := trace.New(*rc.Workload, cfg.Seed+17)
+		if err != nil {
+			return nil, err
+		}
+		c.tracegen = g
+	}
+	return c, nil
+}
+
 // start arms the arrival process (and the trace epoch timer, if tracing).
 func (c *client) start() {
 	c.sendNextCall = c.sendNext

@@ -727,31 +727,13 @@ func (r *run) build() error {
 		}
 	}
 
-	// Client.
-	r.cli = &client{
-		eng:           r.eng,
-		pool:          r.pool,
-		warmupEnd:     r.warmupEnd,
-		genAlt:        genAlt,
-		mixFrac:       cfg.MixFraction,
-		mixFracBefore: cfg.MixFractionBefore,
-		mixShiftAt:    cfg.MixShiftAt,
-		rng:           rand.New(rand.NewSource(cfg.Seed + 9)),
-		addr:          clientAddr,
-		dst:           snicAddr,
-		rateGbps:      r.rc.RateGbps,
-		sizes:         r.rc.Sizes,
-		gen:           r.gen,
-		emit:          r.ingress,
-		epoch:         r.rc.Epoch,
-		endAt:         r.rc.Duration,
-	}
-	if r.rc.Workload != nil {
-		g, err := trace.New(*r.rc.Workload, cfg.Seed+17)
-		if err != nil {
-			return err
-		}
-		r.cli.tracegen = g
+	// Client. An embedded server's traffic comes from the cluster's
+	// TrafficSource, so its client never draws: it only holds the offered
+	// counters SetOffered installs, and gets no RNG or trace generator.
+	if r.embedded {
+		r.cli = &client{}
+	} else if r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, r.gen, genAlt, r.ingress); err != nil {
+		return err
 	}
 	return r.buildFaults()
 }

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"math/rand"
-
 	"halsim/internal/nf"
 	"halsim/internal/packet"
 	"halsim/internal/sim"
-	"halsim/internal/trace"
 )
 
 // TrafficSource is the run's client exposed for a cluster ingress: the
@@ -39,30 +36,9 @@ func NewTrafficSource(cfg Config, rc RunConfig, eng *sim.Engine, pool *packet.Po
 			return nil, err
 		}
 	}
-	c := &client{
-		eng:           eng,
-		pool:          pool,
-		warmupEnd:     rc.Warmup,
-		genAlt:        genAlt,
-		mixFrac:       cfg.MixFraction,
-		mixFracBefore: cfg.MixFractionBefore,
-		mixShiftAt:    cfg.MixShiftAt,
-		rng:           rand.New(rand.NewSource(cfg.Seed + 9)),
-		addr:          clientAddr,
-		dst:           snicAddr,
-		rateGbps:      rc.RateGbps,
-		sizes:         rc.Sizes,
-		gen:           gen,
-		emit:          emit,
-		epoch:         rc.Epoch,
-		endAt:         rc.Duration,
-	}
-	if rc.Workload != nil {
-		g, err := trace.New(*rc.Workload, cfg.Seed+17)
-		if err != nil {
-			return nil, err
-		}
-		c.tracegen = g
+	c, err := newClient(cfg, rc, eng, pool, gen, genAlt, emit)
+	if err != nil {
+		return nil, err
 	}
 	return &TrafficSource{c: c}, nil
 }

@@ -16,6 +16,10 @@ import (
 // per octave the relative quantile error is bounded by 1/64 ≈ 1.6%, which is
 // far below the run-to-run noise of the experiments it serves.
 //
+// The counts array grows, in whole octaves, to cover the highest bucket
+// recorded so far, so a histogram that is never or only narrowly used stays
+// small.
+//
 // The zero value is NOT ready to use; call NewHistogram.
 type Histogram struct {
 	counts     []uint64
@@ -40,8 +44,22 @@ func NewHistogram() *Histogram {
 	// Octaves 0..62, each with subCount sub-buckets, plus the dense
 	// [0, subCount) range mapped directly.
 	h.numBuckets = h.subCount * 64
-	h.counts = make([]uint64, h.numBuckets)
 	return h
+}
+
+// growFor extends counts to cover bucket idx: whole octaves, at least
+// doubling the current length so growth is amortised, capped at
+// numBuckets.
+func (h *Histogram) growFor(idx int) {
+	n := max((idx/h.subCount+1)*h.subCount, 2*len(h.counts))
+	h.resize(min(n, h.numBuckets))
+}
+
+// resize reallocates counts at length n, keeping the recorded counts.
+func (h *Histogram) resize(n int) {
+	counts := make([]uint64, n)
+	copy(counts, h.counts)
+	h.counts = counts
 }
 
 // bucketIndex maps a value to its bucket.
@@ -90,7 +108,11 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketIndex(v)]++
+	i := h.bucketIndex(v)
+	if i >= len(h.counts) {
+		h.growFor(i)
+	}
+	h.counts[i]++
 	h.total++
 	h.sum += float64(v)
 	if v < h.min {
@@ -109,7 +131,11 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[h.bucketIndex(v)] += n
+	i := h.bucketIndex(v)
+	if i >= len(h.counts) {
+		h.growFor(i)
+	}
+	h.counts[i] += n
 	h.total += n
 	h.sum += float64(v) * float64(n)
 	if v < h.min {
@@ -198,10 +224,14 @@ func (h *Histogram) Reset() {
 	h.max = 0
 }
 
-// Merge adds all samples of other into h.
+// Merge adds all samples of other into h, growing h to other's length
+// first when other covers higher buckets.
 func (h *Histogram) Merge(other *Histogram) {
 	if other.subBits != h.subBits {
 		panic("stats: merging histograms with different precision")
+	}
+	if len(other.counts) > len(h.counts) {
+		h.resize(len(other.counts))
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c
