@@ -73,22 +73,91 @@ func measureBest(nb namedBench, repeat int) (benchResult, error) {
 	return best, nil
 }
 
+// suite is how a sentinel suite is measured, written and gated: the
+// -quick, -benchN, -benchout, -baseline and -baseline-tolerance flags.
+type suite struct {
+	quick    bool
+	repeat   int
+	outPath  string
+	base     *benchSnapshot // loaded -baseline, nil without one
+	basePath string
+	tol      float64 // ns/op growth allowed over base, as a fraction
+}
+
+// loadBaseline reads the -baseline snapshot and refuses one recorded in
+// the other mode: quick and full runs simulate different durations, so
+// their ns/op are not comparable.
+func (su *suite) loadBaseline() error {
+	data, err := os.ReadFile(su.basePath)
+	if err != nil {
+		return fmt.Errorf("-baseline: %w", err)
+	}
+	var base benchSnapshot
+	if err := json.Unmarshal(data, &base); err != nil {
+		return fmt.Errorf("-baseline %s: %w", su.basePath, err)
+	}
+	if base.Quick != su.quick {
+		return fmt.Errorf("-baseline %s was recorded with quick=%v but this run has quick=%v; compare like with like",
+			su.basePath, base.Quick, su.quick)
+	}
+	su.base = &base
+	return nil
+}
+
+// run measures each benchmark repeat times, keeping the fastest ns/op
+// (and that run's B/op and allocs/op), prints one line per benchmark,
+// writes the snapshot to outPath (defaultOut without -benchout) and, with
+// a baseline, gates it.
+func (su *suite) run(benches []namedBench, seed int64, defaultOut string) error {
+	repeat := max(su.repeat, 1)
+	snap := benchSnapshot{
+		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		Quick:      su.quick,
+		Seed:       seed,
+		Repeat:     repeat,
+		GoVersion:  runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+	}
+	for _, nb := range benches {
+		best, err := measureBest(nb, repeat)
+		if err != nil {
+			return err
+		}
+		snap.Results = append(snap.Results, best)
+		fmt.Printf("%-18s %6d iter  %14.0f ns/op  %12d B/op  %10d allocs/op  (min of %d)\n",
+			best.Name, best.Iterations, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp, repeat)
+	}
+
+	outPath := su.outPath
+	if outPath == "" {
+		outPath = defaultOut
+	}
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	if err := os.WriteFile(outPath, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", outPath)
+
+	if su.base != nil {
+		return compareBaseline(snap, *su.base, su.basePath, su.tol)
+	}
+	return nil
+}
+
 // runBenchSuite measures the regression-sentinel benchmarks (the three
 // ModeNAT80G modes and the Table V matrix, mirroring bench_test.go) with
 // testing.Benchmark and writes a JSON snapshot next to the ASCII summary.
-// Each benchmark is measured repeat times and the snapshot keeps the
-// fastest ns/op (and that run's B/op and allocs/op). quick shrinks
-// simulated durations so a CI run finishes in seconds. With a baseline
-// snapshot the run also prints per-benchmark deltas and fails on a
-// regression beyond tol (the -baseline-tolerance flag, as a fraction).
-func runBenchSuite(opt experiments.Options, quick bool, repeat int, tol float64, outPath, baselinePath string) error {
-	if repeat < 1 {
-		repeat = 1
-	}
+// quick shrinks simulated durations so a CI run finishes in seconds.
+func runBenchSuite(opt experiments.Options, su *suite) error {
 	runDur := 20 * sim.Millisecond
 	t5 := opt
 	t5.Duration, t5.TraceDuration = 20*sim.Millisecond, 40*sim.Millisecond
-	if quick {
+	if su.quick {
 		runDur = 5 * sim.Millisecond
 		t5.Duration, t5.TraceDuration = 5*sim.Millisecond, 10*sim.Millisecond
 	}
@@ -129,43 +198,7 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, tol float64,
 		{"ModeNAT80G/HAL", modeBench(server.HAL)},
 		{"Table5", table5Bench(t5)},
 	}
-
-	snap := benchSnapshot{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Quick:      quick,
-		Seed:       opt.Seed,
-		Repeat:     repeat,
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	for _, nb := range benches {
-		best, err := measureBest(nb, repeat)
-		if err != nil {
-			return err
-		}
-		snap.Results = append(snap.Results, best)
-		fmt.Printf("%-18s %6d iter  %14.0f ns/op  %12d B/op  %10d allocs/op  (min of %d)\n",
-			best.Name, best.Iterations, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp, repeat)
-	}
-
-	if outPath == "" {
-		outPath = fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("20060102T150405Z"))
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
-	if baselinePath != "" {
-		return compareBaseline(snap, baselinePath, tol)
-	}
-	return nil
+	return su.run(benches, opt.Seed, fmt.Sprintf("BENCH_%s.json", time.Now().UTC().Format("20060102T150405Z")))
 }
 
 // compareBaseline diffs the fresh snapshot against a stored one: one line
@@ -174,19 +207,7 @@ func runBenchSuite(opt experiments.Options, quick bool, repeat int, tol float64,
 // -baseline-tolerance flag, as a fraction). Allocation growth on the
 // pinned-zero benchmarks is always a failure — the zero-alloc hot path is
 // a correctness property here, not a performance preference.
-func compareBaseline(cur benchSnapshot, baselinePath string, tol float64) error {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return fmt.Errorf("-baseline: %w", err)
-	}
-	var base benchSnapshot
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("-baseline %s: %w", baselinePath, err)
-	}
-	if base.Quick != cur.Quick {
-		fmt.Printf("note: baseline quick=%v, this run quick=%v — deltas are indicative only\n",
-			base.Quick, cur.Quick)
-	}
+func compareBaseline(cur, base benchSnapshot, baselinePath string, tol float64) error {
 	if base.GoMaxProcs != 0 && base.GoMaxProcs != cur.GoMaxProcs {
 		fmt.Printf("note: baseline GOMAXPROCS=%d, this run GOMAXPROCS=%d\n",
 			base.GoMaxProcs, cur.GoMaxProcs)

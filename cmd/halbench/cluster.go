@@ -1,12 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"halsim/internal/cluster"
 	"halsim/internal/experiments"
@@ -17,14 +13,11 @@ import (
 
 // runClusterSuite measures the fleet-scale sentinels: a whole HAL fleet
 // (64 servers; 256 and podded 1024 and 4096 without -quick) behind one
-// shared ingress with p2c dispatch. -baseline gates ns/op growth at
-// -baseline-tolerance like bench does.
-func runClusterSuite(opt experiments.Options, quick bool, repeat int, tol float64, outPath, baselinePath string) error {
-	if repeat < 1 {
-		repeat = 1
-	}
+// shared ingress with p2c dispatch, written to BENCH_cluster.json unless
+// -benchout says otherwise.
+func runClusterSuite(opt experiments.Options, su *suite) error {
 	dur := 6 * sim.Millisecond
-	if quick {
+	if su.quick {
 		dur = 2 * sim.Millisecond
 	}
 
@@ -55,7 +48,7 @@ func runClusterSuite(opt experiments.Options, quick bool, repeat int, tol float6
 	// stays minutes, not tens of minutes; the flat-star sentinels keep
 	// their durations so rows stay comparable against older baselines.
 	rows := []fleetRow{{64, 0, dur}}
-	if !quick {
+	if !su.quick {
 		rows = append(rows, fleetRow{256, 0, dur}, fleetRow{1024, 8, sim.Millisecond},
 			fleetRow{4096, 8, sim.Millisecond})
 	}
@@ -68,39 +61,5 @@ func runClusterSuite(opt experiments.Options, quick bool, repeat int, tol float6
 			namedBench{fmt.Sprintf("Fleet%d/serial", fr.servers), fleetBench(fr.servers, fr.pods, rate, fr.dur)})
 	}
 
-	snap := benchSnapshot{
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Quick:      quick,
-		Seed:       opt.Seed,
-		Repeat:     repeat,
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	for _, nb := range benches {
-		best, err := measureBest(nb, repeat)
-		if err != nil {
-			return err
-		}
-		snap.Results = append(snap.Results, best)
-		fmt.Printf("%-18s %6d iter  %14.0f ns/op  %12d B/op  %10d allocs/op  (min of %d)\n",
-			best.Name, best.Iterations, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp, repeat)
-	}
-	if outPath == "" {
-		outPath = "BENCH_cluster.json"
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-
-	if baselinePath != "" {
-		return compareBaseline(snap, baselinePath, tol)
-	}
-	return nil
+	return su.run(benches, opt.Seed, "BENCH_cluster.json")
 }

@@ -16,7 +16,8 @@
 // Passing -baseline BENCH_x.json additionally diffs the fresh snapshot
 // against the stored one and exits nonzero on an ns/op regression beyond
 // -baseline-tolerance percent (default 25), or on any allocation growth
-// on a previously zero-alloc benchmark.
+// on a previously zero-alloc benchmark. A baseline recorded in the other
+// mode (quick against full, or full against quick) is a usage error.
 //
 // The experiment name "cluster" runs the fleet-scale sentinels — a
 // 64-server (and, without -quick, 256- and 1024-server) HAL fleet behind
@@ -250,12 +251,17 @@ func run(quick bool, seed int64, benchN int, baselineTol float64, cpuprofile, me
 			return nil
 		},
 	}
-	runners["bench"] = func(o experiments.Options) error {
-		return runBenchSuite(o, quick, benchN, tol, benchOut, baseline)
+	su := &suite{quick: quick, repeat: benchN, outPath: benchOut, basePath: baseline, tol: tol}
+	if baseline != "" {
+		// Checked before anything runs: a mismatched baseline is a usage
+		// error, not a reason to measure for minutes and then refuse.
+		if err := su.loadBaseline(); err != nil {
+			fmt.Fprintf(os.Stderr, "halbench: %v\n", err)
+			return cliutil.ExitUsage
+		}
 	}
-	runners["cluster"] = func(o experiments.Options) error {
-		return runClusterSuite(o, quick, benchN, tol, benchOut, baseline)
-	}
+	runners["bench"] = func(o experiments.Options) error { return runBenchSuite(o, su) }
+	runners["cluster"] = func(o experiments.Options) error { return runClusterSuite(o, su) }
 	order := []string{"tab1", "fig2", "fig3", "fig4", "tab2", "fig5", "fig8", "fig9", "tab5", "fig10", "costs", "ablation", "faults", "validate"}
 
 	if len(names) == 0 {

@@ -165,6 +165,9 @@ func main() {
 		if *faultKind != "" {
 			usageErr("-fault drives a single server; fleet runs take server-crash events from a scenario file")
 		}
+		if *traceOut != "" {
+			usageErr("-trace-out traces one server's packets; fleet runs (-servers) have no packet trace")
+		}
 		cfg.Cluster = &server.ClusterConfig{
 			Servers:     *servers,
 			Dispatch:    strings.ToLower(*dispatch),

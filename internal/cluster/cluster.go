@@ -14,8 +14,6 @@ import (
 	"halsim/internal/packet"
 	"halsim/internal/server"
 	"halsim/internal/sim"
-	"halsim/internal/stats"
-	"halsim/internal/telemetry"
 )
 
 // seedStride spaces per-server RNG streams: server i runs with the base
@@ -50,30 +48,15 @@ type crun struct {
 	totalB      []uint64
 	sentPkts    []uint64 // per server, post-warmup dispatched
 	sentB       []uint64
-	respPkts    []uint64
-	lat         *stats.Histogram
-	winB        int64
-	rateWinB    int64
-	winMaxGbps  float64
-	rateSeries  []float64
-	phases      []clusterPhase
+	m           server.Meter // round trips close here
 	tickers     []*sim.Ticker
 	reqCalls    []sim.Call
 	respCall    sim.Call
 	upCall      sim.Call
 
-	// Cluster-owned telemetry.
-	col        *telemetry.Collector
-	tl         *telemetry.Timeline
-	cm         *server.ClusterMetrics
-	telPeriod  sim.Time
-	telStop    bool
-	prevEvents uint64
-}
-
-type clusterPhase struct {
-	start, end sim.Time
-	hist       *stats.Histogram
+	// Fleet-wide telemetry: one sampler over every server, nil when off.
+	smp     *server.Sampler
+	telStop bool
 }
 
 // Run executes a fleet described by cfg.Cluster. The returned Result is
@@ -86,6 +69,9 @@ func Run(cfg server.Config, rc server.RunConfig) (server.Result, error) {
 	}
 	if cfg.Faults != nil {
 		return server.Result{}, fmt.Errorf("cluster: per-server fault plans are not supported; use Cluster.Crashes")
+	}
+	if cfg.Telemetry.TraceEvery > 0 {
+		return server.Result{}, fmt.Errorf("cluster: packet tracing (Telemetry.TraceEvery) is not supported for fleets")
 	}
 	if err := server.Normalize(&cfg, &rc); err != nil {
 		return server.Result{}, err
@@ -147,8 +133,6 @@ func (c *crun) build() error {
 	c.totalB = make([]uint64, n)
 	c.sentPkts = make([]uint64, n)
 	c.sentB = make([]uint64, n)
-	c.respPkts = make([]uint64, n)
-	c.lat = stats.NewHistogram()
 	c.respCall = func(a any, _ int64) { c.deliver(a.(*packet.Packet)) }
 	// upCall finishes a podded response's trip at the ingress: it fires
 	// at the ToR-arrival instant, serializes the frame onto the pod's
@@ -158,32 +142,12 @@ func (c *crun) build() error {
 		arr := c.fab.podUp(int(srv), c.eng.Now(), p.WireLen)
 		c.eng.AtCall(arr, c.respCall, p, 0)
 	}
-	if len(c.rc.PhaseMarks) > 0 {
-		bounds := append([]sim.Time{0}, c.rc.PhaseMarks...)
-		bounds = append(bounds, c.rc.Duration)
-		for i := 0; i+1 < len(bounds); i++ {
-			c.phases = append(c.phases, clusterPhase{
-				start: bounds[i], end: bounds[i+1], hist: stats.NewHistogram(),
-			})
-		}
-	}
 	src, err := server.NewTrafficSource(c.cfg, c.rc, c.eng, c.pool, c.dispatch)
 	if err != nil {
 		return err
 	}
 	c.src = src
-
-	// Telemetry: the collector bundle is cluster-owned; packet tracing is
-	// not supported at fleet scale (Result.Trace stays nil), the timeline
-	// and registry are.
-	tcfg := c.cfg.Telemetry
-	tcfg.TraceEvery = 0
-	c.col = telemetry.New(tcfg)
-	if c.col != nil {
-		c.tl = c.col.Timeline
-		c.cm = server.NewClusterMetrics(c.col.Registry)
-		c.telPeriod = tcfg.WithDefaults().TimelinePeriod
-	}
+	c.smp = server.NewSampler(c.eng, c.cfg.Telemetry, src, c.insts)
 	return nil
 }
 
@@ -210,44 +174,26 @@ func (c *crun) start() {
 		inst.Start()
 	}
 
-	// Fleet MaxGbps windows, observed at the ingress from response
-	// arrivals (request wire bytes, warmup-gated like a single server's
-	// completion path).
-	window := 10 * sim.Millisecond
-	if c.rc.Workload != nil {
-		window = c.rc.Epoch
-	}
-	c.tickers = append(c.tickers, c.eng.Every(window, func() {
-		winB := c.winB
-		c.winB = 0
-		if c.eng.Now() <= c.rc.Warmup {
-			return
-		}
-		if g := float64(winB) * 8 / float64(window); g > c.winMaxGbps {
-			c.winMaxGbps = g
-		}
-	}))
-	if c.rc.RateWindow > 0 {
-		c.tickers = append(c.tickers, c.eng.Every(c.rc.RateWindow, func() {
-			c.rateSeries = append(c.rateSeries,
-				float64(c.rateWinB)*8/float64(c.rc.RateWindow))
-			c.rateWinB = 0
-		}))
-	}
+	// The fleet's MaxGbps windows and rate series count request wire
+	// bytes as their responses reach the ingress.
+	c.m.Start(c.eng, c.rc, c.smp, func(period sim.Time, fn func()) {
+		c.tickers = append(c.tickers, c.eng.Every(period, fn))
+	})
 
-	// Cluster telemetry tick, offset one nanosecond past the period so
-	// the tick never shares an instant with the servers' own periodic
-	// work (all of which runs at whole-period multiples).
-	if c.col != nil {
+	// Telemetry tick, offset one nanosecond past the period so the tick
+	// never shares an instant with the servers' own periodic work (all of
+	// which runs at whole-period multiples).
+	if c.smp != nil {
+		period := c.cfg.Telemetry.WithDefaults().TimelinePeriod
 		var tick sim.Call
 		tick = func(any, int64) {
 			if c.telStop {
 				return
 			}
-			c.sample()
-			c.eng.ScheduleCall(c.telPeriod, tick, nil, 0)
+			c.smp.Sample()
+			c.eng.ScheduleCall(period, tick, nil, 0)
 		}
-		c.eng.AtCall(c.telPeriod+1, tick, nil, 0)
+		c.eng.AtCall(period+1, tick, nil, 0)
 	}
 
 	c.src.Start()
@@ -307,90 +253,26 @@ func (c *crun) respond(srv int, p *packet.Packet) {
 	c.eng.AtCall(arr, call, p, n)
 }
 
-// deliver closes one round trip at the ingress: latency and throughput
-// accounting against the original request's dispatch record.
+// deliver closes one round trip at the ingress: the dispatch record is
+// settled and the meter takes the request's bytes and the round trip.
 func (c *crun) deliver(p *packet.Packet) {
-	now := c.eng.Now()
-	pd, ok := c.inflight[p.ID]
-	if ok {
+	created := sim.Time(p.CreatedAt)
+	if pd, ok := c.inflight[p.ID]; ok {
 		delete(c.inflight, p.ID)
 		c.outstanding[pd.srv]--
-		c.respPkts[pd.srv]++
+		c.m.AddBytes(created, int(pd.wireLen))
 	}
-	rtt := int64(now) - p.CreatedAt
-	if ph := c.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
-		ph.Record(rtt)
-	}
-	if ok {
-		// The rate series is all-time (the recovery-time signal needs the
-		// pre-warmup windows too); MaxGbps windows are warmup-gated like a
-		// single server's completion path.
-		c.rateWinB += int64(pd.wireLen)
-	}
-	if sim.Time(p.CreatedAt) >= c.rc.Warmup {
-		c.lat.Record(rtt)
-		if ok {
-			c.winB += int64(pd.wireLen)
-		}
-	}
-	if c.tl != nil {
-		c.tl.RecordLatency(rtt)
-	}
+	c.m.AddRTT(created, int64(c.eng.Now())-p.CreatedAt)
 	c.pool.Put(p)
-}
-
-// phaseAt returns the phase histogram covering instant t, nil without
-// phase marks.
-func (c *crun) phaseAt(t sim.Time) *stats.Histogram {
-	for i := range c.phases {
-		if t >= c.phases[i].start && t < c.phases[i].end {
-			return c.phases[i].hist
-		}
-	}
-	return nil
-}
-
-// sample assembles one fleet-wide telemetry sample.
-func (c *crun) sample() {
-	var s telemetry.Sample
-	s.T = c.eng.Now()
-	nctl := 0
-	for _, inst := range c.insts {
-		if inst.AddSample(&s, c.telPeriod) {
-			nctl++
-		}
-	}
-	if nctl > 0 {
-		// Fleet means for the threshold-style registers; rates stay sums.
-		s.FwdThGbps /= float64(nctl)
-		s.SNICTPGbps /= float64(nctl)
-	}
-	ev := c.eng.Processed()
-	s.Events = ev - c.prevEvents
-	c.prevEvents = ev
-	if c.tl != nil {
-		c.tl.Push(s)
-	}
-	_, _, sent, _ := c.src.Offered()
-	c.cm.Publish(s, sent, ev)
 }
 
 // collect aggregates per-server Results and the ingress's own
 // measurements into one fleet Result.
 func (c *crun) collect() server.Result {
-	totalP, totalB, sentP, sentB := c.src.Offered()
-	_ = totalB
+	totalP, _, sentP, sentB := c.src.Offered()
 	measured := c.rc.Duration - c.rc.Warmup
 
-	res := server.Result{
-		Mode:      c.cfg.Mode,
-		Fn:        c.cfg.Fn,
-		Completed: c.lat.Count(),
-		Sent:      sentP,
-	}
-	res.P50us = float64(c.lat.P50()) / 1000
-	res.P99us = float64(c.lat.P99()) / 1000
-	res.P999us = float64(c.lat.P999()) / 1000
+	res := server.Result{Mode: c.cfg.Mode, Fn: c.cfg.Fn, Sent: sentP}
 	if measured > 0 {
 		res.OfferedGbps = float64(sentB) * 8 / float64(measured)
 	}
@@ -445,10 +327,7 @@ func (c *crun) collect() server.Result {
 	}
 	res.IdleW = res.AvgPowerW - res.HostActiveW - res.SNICActiveW
 	res.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(res.AvgGbps, res.AvgPowerW)
-	res.MaxGbps = c.winMaxGbps
-	if res.MaxGbps < res.AvgGbps {
-		res.MaxGbps = res.AvgGbps
-	}
+	c.m.Fill(&res)
 	res.SentAll = totalP
 	res.InFlightEnd = int64(res.SentAll) - int64(res.CompletedAll) - int64(res.DroppedAll)
 	if sentP > 0 {
@@ -457,12 +336,8 @@ func (c *crun) collect() server.Result {
 
 	// Phases: latency closes at the ingress, throughput/power on the
 	// servers.
-	for i := range c.phases {
-		ph := server.PhaseStats{
-			Start: c.phases[i].start,
-			End:   c.phases[i].end,
-			P99us: float64(c.phases[i].hist.P99()) / 1000,
-		}
+	for i := range res.Phases {
+		ph := &res.Phases[i]
 		for _, r := range sub {
 			if i < len(r.Phases) {
 				ph.AvgGbps += r.Phases[i].AvgGbps
@@ -471,18 +346,12 @@ func (c *crun) collect() server.Result {
 			}
 		}
 		ph.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(ph.AvgGbps, ph.AvgPowerW)
-		res.Phases = append(res.Phases, ph)
 	}
-	res.RateSeries = c.rateSeries
-	res.RateWindow = c.rc.RateWindow
 
 	ws := c.eng.WheelStats()
 	res.Prof = &ws
-	if c.col != nil {
-		res.Timeline = c.tl
-		res.Metrics = c.col.Registry
-		server.PublishWheel(c.col.Registry, ws)
-		c.sample()
+	if c.smp != nil {
+		c.smp.Finish(&res)
 	}
 	return res
 }

@@ -7,7 +7,6 @@ import (
 	"halsim/internal/core"
 	"halsim/internal/fault"
 	"halsim/internal/sim"
-	"halsim/internal/stats"
 )
 
 // PhaseStats are the per-window metrics of one measurement phase (fault
@@ -21,27 +20,6 @@ type PhaseStats struct {
 	AvgPowerW   float64
 	EffGbpsPerW float64
 	Completed   uint64
-}
-
-// phaseAcc accumulates one phase's signals while the run executes.
-type phaseAcc struct {
-	start, end sim.Time
-	hist       *stats.Histogram
-	powerWSum  float64
-	powerN     uint64
-	bytes      uint64 // delivered bytes
-	completed  uint64
-}
-
-// phaseAt returns the accumulator whose [start, end) window contains t,
-// or nil when phases are off or t falls past the last boundary.
-func (r *run) phaseAt(t sim.Time) *phaseAcc {
-	for i := range r.phases {
-		if t >= r.phases[i].start && t < r.phases[i].end {
-			return &r.phases[i]
-		}
-	}
-	return nil
 }
 
 // frozenObserver wraps the LBP's queue-occupancy source: during a

@@ -25,7 +25,6 @@ import (
 	"halsim/internal/packet"
 	"halsim/internal/platform"
 	"halsim/internal/sim"
-	"halsim/internal/stats"
 	"halsim/internal/telemetry"
 	"halsim/internal/trace"
 
@@ -440,32 +439,22 @@ type run struct {
 	faultRng      *rand.Rand
 	telemetryDown bool
 
-	// observability (all nil/zero with Config.Telemetry off; every hook
-	// site nil-checks the specific field it feeds).
-	col           *telemetry.Collector
-	tl            *telemetry.Timeline
-	tr            *telemetry.Tracer
-	tm            *telMetrics
-	telPeriod     sim.Time
-	telPrevSNICB  uint64
-	telPrevHostB  uint64
-	telPrevEvents uint64
+	// observability (nil/zero with Config.Telemetry off; every hook site
+	// nil-checks the specific field it feeds).
+	smp          *Sampler
+	tr           *telemetry.Tracer
+	telPrevSNICB uint64
+	telPrevHostB uint64
 
 	// measurement
-	lat        *stats.Histogram
+	m          Meter
 	powerHost  energy.Integrator
 	powerSNIC  energy.Integrator
 	completed  uint64
 	deliveredB uint64 // post-warmup delivered bytes
 	snicB      uint64 // the part of deliveredB the SNIC processed
-	winB       int64  // MaxGbps window accumulator
-	rateWinB   int64  // RateSeries window accumulator
-	winMaxGbps float64
 	power      energy.Integrator
 	funcErrs   uint64
-	warmupEnd  sim.Time
-	phases     []phaseAcc
-	rateSeries []float64
 	tickers    []*sim.Ticker
 }
 
@@ -709,24 +698,6 @@ func (r *run) build() error {
 	finish(&r.snic, true)
 	finish(&r.host, false)
 
-	// Observability hooks: every station exists by now, so the tracer can
-	// be threaded into each lane.
-	r.buildTelemetry()
-
-	r.lat = stats.NewHistogram()
-	r.warmupEnd = r.rc.Warmup
-
-	// Phase accumulators: boundaries are [0, marks..., Duration].
-	if len(r.rc.PhaseMarks) > 0 {
-		bounds := append([]sim.Time{0}, r.rc.PhaseMarks...)
-		bounds = append(bounds, r.rc.Duration)
-		for i := 0; i+1 < len(bounds); i++ {
-			r.phases = append(r.phases, phaseAcc{
-				start: bounds[i], end: bounds[i+1], hist: stats.NewHistogram(),
-			})
-		}
-	}
-
 	// Client. An embedded server's traffic comes from the cluster's
 	// TrafficSource, so its client never draws: it only holds the offered
 	// counters SetOffered installs, and gets no RNG or trace generator.
@@ -735,6 +706,9 @@ func (r *run) build() error {
 	} else if r.cli, err = newClient(cfg, r.rc, r.eng, r.pool, r.gen, genAlt, r.ingress); err != nil {
 		return err
 	}
+	// Observability hooks: every station and the client exist by now, so
+	// the tracer can be threaded into each lane.
+	r.buildTelemetry()
 	return r.buildFaults()
 }
 
@@ -810,14 +784,14 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 		}
 	}
 	r.completed++
-	r.rateWinB += int64(p.WireLen)
-	if ph := r.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
+	created := sim.Time(p.CreatedAt)
+	r.m.AddBytes(created, p.WireLen)
+	if ph := r.m.phaseAt(created); ph != nil {
 		ph.bytes += uint64(p.WireLen)
 		ph.completed++
 	}
-	if sim.Time(p.CreatedAt) >= r.warmupEnd {
+	if created >= r.rc.Warmup {
 		r.deliveredB += uint64(p.WireLen)
-		r.winB += int64(p.WireLen)
 		if onSNIC {
 			r.snicB += uint64(p.WireLen)
 		}
@@ -859,22 +833,13 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	r.eng.ScheduleCall(egress, r.forwardCall, resp, 0)
 }
 
-// deliverResponse records the client-observed round trip for packets
-// created inside the measurement window.
+// deliverResponse hands the client-observed round trip to the meter.
 func (r *run) deliverResponse(p *packet.Packet) {
-	if ph := r.phaseAt(sim.Time(p.CreatedAt)); ph != nil {
-		ph.hist.Record(int64(r.eng.Now()) - p.CreatedAt)
-	}
-	if sim.Time(p.CreatedAt) >= r.warmupEnd {
-		r.lat.Record(int64(r.eng.Now()) - p.CreatedAt)
-	}
-	if r.tl != nil {
-		r.tl.RecordLatency(int64(r.eng.Now()) - p.CreatedAt)
-	}
+	rtt := int64(r.eng.Now()) - p.CreatedAt
+	r.m.AddRTT(sim.Time(p.CreatedAt), rtt)
 	if r.tr.Sampled(p.ID) {
 		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindResponse,
-			Station: telemetry.StWire, Core: -1, Pkt: p.ID,
-			Arg: int64(r.eng.Now()) - p.CreatedAt})
+			Station: telemetry.StWire, Core: -1, Pkt: p.ID, Arg: rtt})
 	}
 	r.pool.Put(p)
 }
@@ -951,7 +916,7 @@ func (r *run) start() {
 		r.power.Sample(r.eng.Now(), idleW+hostW+snicW)
 		r.powerHost.Sample(r.eng.Now(), hostW)
 		r.powerSNIC.Sample(r.eng.Now(), snicW)
-		if ph := r.phaseAt(r.eng.Now()); ph != nil {
+		if ph := r.m.phaseAt(r.eng.Now()); ph != nil {
 			ph.powerWSum += idleW + hostW + snicW
 			ph.powerN++
 		}
@@ -959,62 +924,23 @@ func (r *run) start() {
 	// Telemetry sampling tick. Registered after the power ticker so a
 	// same-instant sample reads the power integrators' fresh values (the
 	// engine runs same-time events in registration order).
-	if r.col != nil {
-		r.every(r.telPeriod, r.sampleTelemetry)
+	if r.smp != nil {
+		r.every(r.smp.period, r.smp.Sample)
 	}
-	// Delivered-rate time series (recovery analysis for fault runs).
-	if r.rc.RateWindow > 0 {
-		r.every(r.rc.RateWindow, func() {
-			r.rateSeries = append(r.rateSeries,
-				float64(r.rateWinB)*8/float64(r.rc.RateWindow))
-			r.rateWinB = 0
-		})
-	}
-	// Delivered-rate windows for MaxGbps. Constant-rate runs use 10 ms;
-	// trace runs use the epoch so a one-epoch burst registers at its
-	// actual rate instead of being averaged away — this is what makes
-	// "max throughput" differ between a ~90G host and a ~100G HAL.
-	window := 10 * sim.Millisecond
-	if r.rc.Workload != nil {
-		window = r.rc.Epoch
-	}
-	r.every(window, func() {
-		winB := r.winB
-		r.winB = 0
-		if r.eng.Now() <= r.warmupEnd {
-			return
-		}
-		g := float64(winB) * 8 / float64(window)
-		if g > r.winMaxGbps {
-			r.winMaxGbps = g
-		}
-	})
+	r.m.Start(r.eng, r.rc, r.smp, r.every)
 	if !r.embedded {
 		r.cli.start()
 	}
 }
 
 func (r *run) collect() Result {
-	measured := r.rc.Duration - r.warmupEnd
-	res := Result{
-		Mode:      r.cfg.Mode,
-		Fn:        r.cfg.Fn,
-		Completed: r.lat.Count(),
-		Sent:      r.cli.sentPkts,
-	}
+	measured := r.rc.Duration - r.rc.Warmup
+	res := Result{Mode: r.cfg.Mode, Fn: r.cfg.Fn, Sent: r.cli.sentPkts}
 	if measured > 0 {
 		res.AvgGbps = float64(r.deliveredB) * 8 / float64(measured)
-	}
-	res.MaxGbps = r.winMaxGbps
-	if res.MaxGbps < res.AvgGbps {
-		res.MaxGbps = res.AvgGbps
-	}
-	if measured > 0 {
 		res.OfferedGbps = float64(r.cli.sentBytes) * 8 / float64(measured)
 	}
-	res.P50us = float64(r.lat.P50()) / 1000
-	res.P99us = float64(r.lat.P99()) / 1000
-	res.P999us = float64(r.lat.P999()) / 1000
+	r.m.Fill(&res)
 	res.AvgPowerW = r.power.AvgWatts()
 	res.HostActiveW = r.powerHost.AvgWatts()
 	res.SNICActiveW = r.powerSNIC.AvgWatts()
@@ -1066,13 +992,9 @@ func (r *run) collect() Result {
 		res.LBPHolds = r.hal.Policy.Holds
 		res.FailoverTicks = r.hal.Policy.LastFailoverTicks
 	}
-	for _, ph := range r.phases {
-		ps := PhaseStats{
-			Start:     ph.start,
-			End:       ph.end,
-			P99us:     float64(ph.hist.P99()) / 1000,
-			Completed: ph.completed,
-		}
+	for i := range res.Phases {
+		ph, ps := &r.m.phases[i], &res.Phases[i]
+		ps.Completed = ph.completed
 		if d := ph.end - ph.start; d > 0 {
 			ps.AvgGbps = float64(ph.bytes) * 8 / float64(d)
 		}
@@ -1080,21 +1002,12 @@ func (r *run) collect() Result {
 			ps.AvgPowerW = ph.powerWSum / float64(ph.powerN)
 		}
 		ps.EffGbpsPerW = energy.EfficiencyGbpsPerWatt(ps.AvgGbps, ps.AvgPowerW)
-		res.Phases = append(res.Phases, ps)
 	}
-	res.RateSeries = r.rateSeries
-	res.RateWindow = r.rc.RateWindow
 
 	ws := r.eng.WheelStats()
 	res.Prof = &ws
-	if r.col != nil {
-		res.Timeline = r.tl
-		res.Trace = r.tr
-		res.Metrics = r.col.Registry
-		PublishWheel(r.col.Registry, ws)
-		// Final sample so the registry's counters reflect the whole run
-		// (including a trailing partial tick or a drain phase).
-		r.sampleTelemetry()
+	if r.smp != nil {
+		r.smp.Finish(&res)
 	}
 	return res
 }

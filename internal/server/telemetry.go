@@ -6,32 +6,13 @@ import (
 )
 
 // Telemetry integration. Every hook on the packet path is a nil-checked
-// struct field (run.tr / run.tl / station.tr), never an interface call, so
+// struct field (run.tr / Meter.tl / station.tr), never an interface call, so
 // a run with Config.Telemetry zeroed executes the exact event sequence and
 // allocation profile it did before the telemetry layer existed. The
 // collectors only read simulator state — cumulative counters, queue
 // occupancies, policy registers — and keep their own window deltas, so
 // enabling them cannot perturb Result either (TestGoldenDeterminism holds
 // byte-for-byte with telemetry on).
-
-// ClusterMetrics exposes the run's registry handles to the cluster
-// runner, which samples a whole fleet into the same halsim_* metric set
-// a single server publishes (rates summed, occupancies maxed, threshold
-// registers averaged across servers).
-type ClusterMetrics struct {
-	m *telMetrics
-}
-
-// NewClusterMetrics registers the standard metric set on reg.
-func NewClusterMetrics(reg *telemetry.Registry) *ClusterMetrics {
-	return &ClusterMetrics{m: newTelMetrics(reg)}
-}
-
-// Publish pushes one aggregate sample; events is the fleet's running
-// total of executed events.
-func (c *ClusterMetrics) Publish(s telemetry.Sample, sent, events uint64) {
-	c.m.publish(s, sent, events)
-}
 
 // telMetrics holds the run's registry handles. Registration happens once at
 // build time; publication once per sample tick and once at run end — never
@@ -94,18 +75,15 @@ func (m *telMetrics) publish(s telemetry.Sample, sent, events uint64) {
 	m.reg.Set(m.events, float64(events))
 }
 
-// buildTelemetry constructs the run's collectors (nil when Config.Telemetry
-// is zero) and threads the tracer into the stations.
+// buildTelemetry builds the run's sampler (nil when Config.Telemetry is
+// zero) and threads its tracer into the stations. The client must exist:
+// its offered count is the sampler's sent counter.
 func (r *run) buildTelemetry() {
-	r.col = telemetry.New(r.cfg.Telemetry)
-	if r.col == nil {
+	r.smp = newSampler(r.eng, r.cfg.Telemetry, r.cli, r)
+	if r.smp == nil {
 		return
 	}
-	r.tl = r.col.Timeline
-	r.tm = newTelMetrics(r.col.Registry)
-	r.telPeriod = r.cfg.Telemetry.WithDefaults().TimelinePeriod
-
-	if tr := r.col.Tracer; tr != nil {
+	if tr := r.smp.col.Tracer; tr != nil {
 		r.tr = tr
 		r.snic.first.tr, r.snic.first.telID = tr, telemetry.StSNIC
 		r.host.first.tr, r.host.first.telID = tr, telemetry.StHost
@@ -121,96 +99,142 @@ func (r *run) buildTelemetry() {
 	}
 }
 
-// PublishWheel pushes the engine's run-end timing-wheel counters into reg.
-func PublishWheel(reg *telemetry.Registry, ws sim.WheelStats) {
+// Sampler is the telemetry tick of one server or of a whole fleet. Each
+// Sample folds every server's state into one telemetry.Sample — rates,
+// queues, busy cores, drops, completions and power summed, ring
+// occupancies maxed, Fwd_Th and SNIC_TP averaged over the servers that
+// have control state — then pushes it onto the timeline and publishes it
+// to the registry. Reads only: the simulation cannot observe that it ran.
+type Sampler struct {
+	eng        *sim.Engine
+	col        *telemetry.Collector
+	tm         *telMetrics
+	cli        *client // offered traffic: the server's own client or the fleet's source
+	runs       []*run
+	period     sim.Time
+	prevEvents uint64
+}
+
+// newSampler builds the sampler over runs, or returns nil when tcfg asks
+// for nothing.
+func newSampler(eng *sim.Engine, tcfg telemetry.Config, cli *client, runs ...*run) *Sampler {
+	col := telemetry.New(tcfg)
+	if col == nil {
+		return nil
+	}
+	return &Sampler{eng: eng, col: col, tm: newTelMetrics(col.Registry), cli: cli, runs: runs,
+		period: tcfg.WithDefaults().TimelinePeriod}
+}
+
+// NewSampler builds a fleet's sampler over insts, counting src's offered
+// packets as sent; nil when tcfg asks for nothing. A fleet has no packet
+// tracer, so tcfg must not ask for one.
+func NewSampler(eng *sim.Engine, tcfg telemetry.Config, src *TrafficSource, insts []*Instance) *Sampler {
+	runs := make([]*run, len(insts))
+	for i, inst := range insts {
+		runs[i] = inst.r
+	}
+	return newSampler(eng, tcfg, src.c, runs...)
+}
+
+// Sample takes one sample at the engine clock.
+func (sp *Sampler) Sample() {
+	s := telemetry.Sample{T: sp.eng.Now()}
+	nctl := 0
+	for _, r := range sp.runs {
+		if r.addSample(&s, sp.period) {
+			nctl++
+		}
+	}
+	if nctl > 0 {
+		s.FwdThGbps /= float64(nctl)
+		s.SNICTPGbps /= float64(nctl)
+	}
+	ev := sp.eng.Processed()
+	s.Events = ev - sp.prevEvents
+	sp.prevEvents = ev
+	if sp.col.Timeline != nil {
+		sp.col.Timeline.Push(s)
+	}
+	sp.tm.publish(s, sp.cli.totalPkts, ev)
+}
+
+// Finish hands the collectors to res, publishes the timing wheel's
+// counters and takes a final sample, so the registry covers the whole run
+// (a trailing partial tick or a drain phase included).
+func (sp *Sampler) Finish(res *Result) {
+	res.Timeline, res.Trace, res.Metrics = sp.col.Timeline, sp.col.Tracer, sp.col.Registry
+	reg, ws := sp.col.Registry, sp.eng.WheelStats()
 	reg.Set(reg.Counter("halsim_wheel_cascades_total", "timing-wheel level cascades"), float64(ws.Cascades))
 	reg.Set(reg.Counter("halsim_wheel_overflow_total", "timing-wheel overflow-heap inserts"), float64(ws.Overflow))
 	reg.Set(reg.Gauge("halsim_wheel_slab_high_water", "event-slab high water"), float64(ws.SlabHighWater))
+	sp.Sample()
 }
 
-// sideBytesDone sums the cumulative served bytes of a side's stage-1
-// station (stage 2 re-serves the same bytes, so stage 1 alone is the
-// side's delivered-byte counter).
-func sideBytesDone(side *sideStations) uint64 { return side.first.bytesDone }
-
-// sampleTelemetry runs once per telemetry tick: it snapshots the LBP's
-// control registers, per-side rates/queues/utilization, drop counters, and
-// the power sampler's latest reading into one Sample, then feeds timeline
-// and registry. Reads only — the simulation cannot observe that it ran.
-func (r *run) sampleTelemetry() {
-	var s telemetry.Sample
-	s.T = r.eng.Now()
-
+// addSample folds this server's state into sm: sums for rates, queues,
+// busy cores, drops, completions and power; max for ring occupancies.
+// FwdThGbps and SNICTPGbps are summed too, for the sampler to average;
+// the result reports whether this server has control state to average.
+// It writes only the per-side byte marks the delivered rates are taken
+// against.
+func (r *run) addSample(sm *telemetry.Sample, period sim.Time) bool {
+	hasCtl := false
 	switch {
 	case r.hal != nil:
-		s.FwdThGbps = r.hal.Director.FwdTh()
-		s.RateRxGbps = r.hal.Director.RateGbps()
-		s.RateFwdGbps = r.hal.Director.RateFwdGbps()
-		s.SNICTPGbps = r.hal.Policy.SNICTPGbps()
+		hasCtl = true
+		sm.FwdThGbps += r.hal.Director.FwdTh()
+		sm.RateRxGbps += r.hal.Director.RateGbps()
+		sm.RateFwdGbps += r.hal.Director.RateFwdGbps()
+		sm.SNICTPGbps += r.hal.Policy.SNICTPGbps()
 	case r.slbDir != nil:
-		s.FwdThGbps = r.slbDir.FwdTh()
-		s.RateRxGbps = r.slbDir.RateGbps()
-		s.RateFwdGbps = r.slbDir.RateFwdGbps()
+		hasCtl = true
+		sm.FwdThGbps += r.slbDir.FwdTh()
+		sm.RateRxGbps += r.slbDir.RateGbps()
+		sm.RateFwdGbps += r.slbDir.RateFwdGbps()
 	}
 
 	// Per-side delivered rate over the tick window, from cumulative station
-	// counters (the power sampler's windows stay untouched).
-	snicB, hostB := sideBytesDone(&r.snic), sideBytesDone(&r.host)
-	s.SNICGbps = float64(snicB-r.telPrevSNICB) * 8 / float64(r.telPeriod)
-	s.HostGbps = float64(hostB-r.telPrevHostB) * 8 / float64(r.telPeriod)
+	// counters (the power sampler's windows stay untouched). Stage 2
+	// re-serves stage 1's bytes, so stage 1 alone counts a side.
+	snicB, hostB := r.snic.first.bytesDone, r.host.first.bytesDone
+	sm.SNICGbps += float64(snicB-r.telPrevSNICB) * 8 / float64(period)
+	sm.HostGbps += float64(hostB-r.telPrevHostB) * 8 / float64(period)
 	r.telPrevSNICB, r.telPrevHostB = snicB, hostB
 
-	s.SNICOccMax = r.snic.first.port.MaxOccupancy()
-	s.HostOccMax = r.host.first.port.MaxOccupancy()
-	s.SNICBacklog = r.snic.first.port.TotalBacklog()
-	s.HostBacklog = r.host.first.port.TotalBacklog()
-	s.SNICBusy = r.snic.first.busyCores()
-	s.HostBusy = r.host.first.busyCores()
-	if st := r.snic.second; st != nil {
-		if occ := st.port.MaxOccupancy(); occ > s.SNICOccMax {
-			s.SNICOccMax = occ
+	for _, st := range [...]*station{r.snic.first, r.snic.second} {
+		if st != nil {
+			sm.SNICOccMax = max(sm.SNICOccMax, st.port.MaxOccupancy())
+			sm.SNICBacklog += st.port.TotalBacklog()
+			sm.SNICBusy += st.busyCores()
 		}
-		s.SNICBacklog += st.port.TotalBacklog()
-		s.SNICBusy += st.busyCores()
 	}
-	if st := r.host.second; st != nil {
-		if occ := st.port.MaxOccupancy(); occ > s.HostOccMax {
-			s.HostOccMax = occ
+	for _, st := range [...]*station{r.host.first, r.host.second} {
+		if st != nil {
+			sm.HostOccMax = max(sm.HostOccMax, st.port.MaxOccupancy())
+			sm.HostBacklog += st.port.TotalBacklog()
+			sm.HostBusy += st.busyCores()
 		}
-		s.HostBacklog += st.port.TotalBacklog()
-		s.HostBusy += st.busyCores()
 	}
 	// The SLB's forwarding cores sit on the SNIC in SLB mode and on the
 	// host in SLB-host mode; their backlog belongs to that side.
 	if r.slbFwd != nil {
-		side := &s.SNICBacklog
-		busy := &s.SNICBusy
+		side, busy := &sm.SNICBacklog, &sm.SNICBusy
 		if r.cfg.Mode == SLBHost {
-			side, busy = &s.HostBacklog, &s.HostBusy
+			side, busy = &sm.HostBacklog, &sm.HostBusy
 		}
 		*side += r.slbFwd.port.TotalBacklog()
 		*busy += r.slbFwd.busyCores()
 	}
 
 	for _, st := range [...]*station{r.snic.first, r.host.first, r.snic.second, r.host.second, r.slbFwd} {
-		if st == nil {
-			continue
+		if st != nil {
+			sm.Drops += st.port.TotalDrops()
+			sm.FaultDrops += st.port.TotalFaultDrops() + st.faultDrops
 		}
-		s.Drops += st.port.TotalDrops()
-		s.FaultDrops += st.port.TotalFaultDrops() + st.faultDrops
 	}
-	s.Completed = r.completed
-
-	s.PowerW = r.power.LastWatts()
-	s.HostPowerW = r.powerHost.LastWatts()
-	s.SNICPowerW = r.powerSNIC.LastWatts()
-
-	ev := r.eng.Processed()
-	s.Events = ev - r.telPrevEvents
-	r.telPrevEvents = ev
-
-	if r.tl != nil {
-		r.tl.Push(s)
-	}
-	r.tm.publish(s, r.cli.totalPkts, ev)
+	sm.Completed += r.completed
+	sm.PowerW += r.power.LastWatts()
+	sm.HostPowerW += r.powerHost.LastWatts()
+	sm.SNICPowerW += r.powerSNIC.LastWatts()
+	return hasCtl
 }
