@@ -18,13 +18,7 @@ import (
 func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig) string {
 	t.Helper()
 	var b strings.Builder
-	line := func(name string, res halsim.Result) {
-		fmt.Fprintf(&b, "%s: sent=%d completed=%d sentAll=%d completedAll=%d droppedAll=%d inflight=%d avg=%v max=%v p50=%v p99=%v p999=%v power=%v eff=%v snicShare=%v drop=%v wake=%d fwdTh=%v adj=%v\n",
-			name, res.Sent, res.Completed, res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd,
-			res.AvgGbps, res.MaxGbps, res.P50us, res.P99us, res.P999us,
-			res.AvgPowerW, res.EffGbpsPerW, res.SNICShare, res.DropFraction,
-			res.Wakeups, res.FinalFwdTh, res.LBPAdjustments)
-	}
+	line := func(name string, res halsim.Result) { writeGoldenLine(&b, name, res) }
 
 	// Round-robin fleet under pressure: dispatch is blind, so the
 	// per-server HLBs absorb the load and some servers drop.
@@ -102,18 +96,6 @@ func goldenClusterRuns(t *testing.T, tel halsim.TelemetryConfig) string {
 	return b.String()
 }
 
-func compareClusterGolden(t *testing.T, got, label string) {
-	t.Helper()
-	path := filepath.Join("testdata", "golden_cluster_runs.txt")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("%s diverged from golden fixture %s\n--- got ---\n%s\n--- want ---\n%s", label, path, got, want)
-	}
-}
-
 // TestClusterGoldenDeterminism locks the fleet runner's numeric output to
 // a committed fixture on the serial engine.
 func TestClusterGoldenDeterminism(t *testing.T) {
@@ -128,7 +110,7 @@ func TestClusterGoldenDeterminism(t *testing.T) {
 		}
 		return
 	}
-	compareClusterGolden(t, got, "serial cluster battery")
+	compareFixture(t, path, got)
 }
 
 // TestClusterGoldenTelemetryOn enables the timeline and registry across
@@ -137,5 +119,6 @@ func TestClusterGoldenTelemetryOn(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestClusterGoldenDeterminism")
 	}
-	compareClusterGolden(t, goldenClusterRuns(t, halsim.TelemetryConfig{Timeline: true}), "telemetry-on cluster battery")
+	compareFixture(t, filepath.Join("testdata", "golden_cluster_runs.txt"),
+		goldenClusterRuns(t, halsim.TelemetryConfig{Timeline: true}))
 }

@@ -25,13 +25,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures from the 
 func goldenRuns(t *testing.T, tel halsim.TelemetryConfig) string {
 	t.Helper()
 	var b strings.Builder
-	line := func(name string, res halsim.Result) {
-		fmt.Fprintf(&b, "%s: sent=%d completed=%d sentAll=%d completedAll=%d droppedAll=%d inflight=%d avg=%v max=%v p50=%v p99=%v p999=%v power=%v eff=%v snicShare=%v drop=%v wake=%d fwdTh=%v adj=%v\n",
-			name, res.Sent, res.Completed, res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd,
-			res.AvgGbps, res.MaxGbps, res.P50us, res.P99us, res.P999us,
-			res.AvgPowerW, res.EffGbpsPerW, res.SNICShare, res.DropFraction,
-			res.Wakeups, res.FinalFwdTh, res.LBPAdjustments)
-	}
+	line := func(name string, res halsim.Result) { writeGoldenLine(&b, name, res) }
 
 	for _, mode := range []halsim.Mode{halsim.HostOnly, halsim.SNICOnly, halsim.HAL} {
 		for _, fn := range []halsim.FnID{halsim.NAT, halsim.REM} {
@@ -105,13 +99,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("output diverged from golden fixture %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-	}
+	compareFixture(t, path, got)
 }
 
 // TestGoldenDeterminismTelemetryOn re-runs the whole battery with every
@@ -123,13 +111,28 @@ func TestGoldenDeterminismTelemetryOn(t *testing.T) {
 	if *updateGolden {
 		t.Skip("fixture is written by TestGoldenDeterminism")
 	}
-	got := goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64})
-	path := filepath.Join("testdata", "golden_runs.txt")
+	compareFixture(t, filepath.Join("testdata", "golden_runs.txt"),
+		goldenRuns(t, halsim.TelemetryConfig{Timeline: true, TraceEvery: 64}))
+}
+
+// writeGoldenLine prints one run's standard golden line: every numeric
+// Result field with %v, the shortest exact float representation.
+func writeGoldenLine(b *strings.Builder, name string, res halsim.Result) {
+	fmt.Fprintf(b, "%s: sent=%d completed=%d sentAll=%d completedAll=%d droppedAll=%d inflight=%d avg=%v max=%v p50=%v p99=%v p999=%v power=%v eff=%v snicShare=%v drop=%v wake=%d fwdTh=%v adj=%v\n",
+		name, res.Sent, res.Completed, res.SentAll, res.CompletedAll, res.DroppedAll, res.InFlightEnd,
+		res.AvgGbps, res.MaxGbps, res.P50us, res.P99us, res.P999us,
+		res.AvgPowerW, res.EffGbpsPerW, res.SNICShare, res.DropFraction,
+		res.Wakeups, res.FinalFwdTh, res.LBPAdjustments)
+}
+
+// compareFixture fails the test when got differs from the fixture at path.
+func compareFixture(t *testing.T, path, got string) {
+	t.Helper()
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden fixture (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("telemetry perturbed the simulation: output diverged from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+		t.Fatalf("output diverged from golden fixture %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }

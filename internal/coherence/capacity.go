@@ -87,11 +87,8 @@ func (d *Directory) Resident(node NodeID, addr uint64) bool {
 	if d.caches != nil {
 		return d.caches[node].resident(addr)
 	}
-	l, ok := d.lines[addr]
-	if !ok {
-		return false
-	}
-	return l.owner == int8(node) || l.sharers&(1<<uint(node)) != 0
+	l := d.lookup(addr)
+	return l != nil && l.holds(node)
 }
 
 // ResidentLines returns how many lines node caches (capacity mode only;
@@ -102,9 +99,8 @@ func (d *Directory) ResidentLines(node NodeID) int {
 		return d.caches[node].len()
 	}
 	n := 0
-	bit := uint16(1) << uint(node)
-	for _, l := range d.lines {
-		if l.owner == int8(node) || l.sharers&bit != 0 {
+	for i := range d.lines {
+		if d.lines[i].holds(node) {
 			n++
 		}
 	}
@@ -133,23 +129,20 @@ func (d *Directory) noteLost(node NodeID, addr uint64) {
 }
 
 // evictLine removes node from addr's directory entry (capacity eviction).
+// A line no node holds any more is left as the zero, untracked entry.
 func (d *Directory) evictLine(node NodeID, addr uint64) {
-	l, ok := d.lines[addr]
-	if !ok {
+	l := d.lookup(addr)
+	if l == nil || *l == (lineState{}) {
 		return
 	}
 	s := &d.stats[node]
 	s.Evictions++
-	bit := uint16(1) << uint(node)
-	if l.owner == int8(node) {
+	if l.owner == ownerTag(node) {
 		if l.dirty {
 			s.Writebacks++
 		}
-		l.owner = -1
+		l.owner = 0
 		l.dirty = false
 	}
-	l.sharers &^= bit
-	if l.owner < 0 && l.sharers == 0 {
-		delete(d.lines, addr)
-	}
+	l.sharers &^= 1 << uint(node)
 }

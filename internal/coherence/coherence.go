@@ -22,6 +22,13 @@ type NodeID int
 // MaxNodes bounds the sharer bitmap.
 const MaxNodes = 16
 
+// MaxLines bounds line IDs: Read and Write panic on a line at or above it.
+// The directory is a dense table indexed by line ID that grows by doubling
+// to the highest line touched, so IDs must be small and reasonably
+// compact; the stateful functions hash their keys into at most 1<<18
+// lines.
+const MaxLines = 1 << 24
+
 // Outcome classifies one access by its coherence cost.
 type Outcome int
 
@@ -55,14 +62,23 @@ func (o Outcome) String() string {
 	}
 }
 
-// lineState is the directory entry for one cache line.
+// lineState is the directory entry for one cache line. The zero value is
+// an untracked line: no owner, no sharers.
 type lineState struct {
-	// owner is the node holding the line Exclusive/Modified, or -1.
-	owner int8
+	// owner is 1 + the node holding the line Exclusive/Modified, or 0.
+	owner uint8
 	// dirty marks Modified (vs Exclusive) ownership.
 	dirty bool
 	// sharers is a bitmap of nodes holding the line Shared.
 	sharers uint16
+}
+
+// ownerTag encodes node as a lineState owner.
+func ownerTag(node NodeID) uint8 { return uint8(node) + 1 }
+
+// holds reports whether node caches the line in any valid state.
+func (l *lineState) holds(node NodeID) bool {
+	return l.owner == ownerTag(node) || l.sharers&(1<<uint(node)) != 0
 }
 
 // Stats aggregates per-node access outcomes.
@@ -80,7 +96,8 @@ type Stats struct {
 // coherence decisions. The zero value is unusable; call NewDirectory.
 type Directory struct {
 	nodes int
-	lines map[uint64]*lineState
+	// lines is indexed by line ID; it covers at least every line touched.
+	lines []lineState
 	stats []Stats
 	// caches, when non-nil, bounds each node's resident set (LRU); see
 	// capacity.go.
@@ -92,7 +109,7 @@ func NewDirectory(n int) *Directory {
 	if n < 1 || n > MaxNodes {
 		panic(fmt.Sprintf("coherence: node count %d out of [1,%d]", n, MaxNodes))
 	}
-	return &Directory{nodes: n, lines: make(map[uint64]*lineState)}
+	return &Directory{nodes: n, stats: make([]Stats, n)}
 }
 
 // Nodes returns the agent count.
@@ -100,13 +117,11 @@ func (d *Directory) Nodes() int { return d.nodes }
 
 // Stats returns the accumulated statistics for node.
 func (d *Directory) Stats(node NodeID) Stats {
-	d.ensureStats()
 	return d.stats[node]
 }
 
 // TotalStats sums statistics across nodes.
 func (d *Directory) TotalStats() Stats {
-	d.ensureStats()
 	var t Stats
 	for _, s := range d.stats {
 		t.Accesses += s.Accesses
@@ -120,19 +135,35 @@ func (d *Directory) TotalStats() Stats {
 	return t
 }
 
-func (d *Directory) ensureStats() {
-	if d.stats == nil {
-		d.stats = make([]Stats, d.nodes)
+// line returns addr's entry, growing the table to cover it.
+func (d *Directory) line(addr uint64) *lineState {
+	if addr >= uint64(len(d.lines)) {
+		d.grow(addr)
 	}
+	return &d.lines[addr]
 }
 
-func (d *Directory) line(addr uint64) *lineState {
-	l, ok := d.lines[addr]
-	if !ok {
-		l = &lineState{owner: -1}
-		d.lines[addr] = l
+// grow doubles the table until it covers addr; new entries are untracked.
+func (d *Directory) grow(addr uint64) {
+	if addr >= MaxLines {
+		panic(fmt.Sprintf("coherence: line %d out of range [0,%d)", addr, MaxLines))
 	}
-	return l
+	n := max(2*len(d.lines), 64)
+	for uint64(n) <= addr {
+		n *= 2
+	}
+	lines := make([]lineState, n)
+	copy(lines, d.lines)
+	d.lines = lines
+}
+
+// lookup returns addr's entry, or nil when addr lies past the table
+// (an untracked line).
+func (d *Directory) lookup(addr uint64) *lineState {
+	if addr >= uint64(len(d.lines)) {
+		return nil
+	}
+	return &d.lines[addr]
 }
 
 func (d *Directory) checkNode(node NodeID) {
@@ -144,14 +175,13 @@ func (d *Directory) checkNode(node NodeID) {
 // Read performs a load by node on line addr and returns its outcome.
 func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 	d.checkNode(node)
-	d.ensureStats()
+	l := d.line(addr)
 	s := &d.stats[node]
 	s.Accesses++
-	l := d.line(addr)
 	bit := uint16(1) << uint(node)
 
 	switch {
-	case l.owner == int8(node):
+	case l.owner == ownerTag(node):
 		s.LocalHits++
 		d.noteHolding(node, addr)
 		return LocalHit
@@ -159,14 +189,14 @@ func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 		s.LocalHits++
 		d.noteHolding(node, addr)
 		return LocalHit
-	case l.owner >= 0:
+	case l.owner != 0:
 		// Remote owner: downgrade M/E→S, forward data. A dirty line is
 		// written back as part of the downgrade.
 		if l.dirty {
 			s.Writebacks++
 		}
-		l.sharers |= uint16(1)<<uint(l.owner) | bit
-		l.owner = -1
+		l.sharers |= uint16(1)<<uint(l.owner-1) | bit
+		l.owner = 0
 		l.dirty = false
 		s.RemoteFetches++
 		d.noteHolding(node, addr)
@@ -180,7 +210,7 @@ func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 	default:
 		// Cold: fill from memory with Exclusive ownership (the E in
 		// MESI — silent upgrade on a later write).
-		l.owner = int8(node)
+		l.owner = ownerTag(node)
 		l.dirty = false
 		s.MemoryFetches++
 		d.noteHolding(node, addr)
@@ -191,34 +221,33 @@ func (d *Directory) Read(node NodeID, addr uint64) Outcome {
 // Write performs a store by node on line addr and returns its outcome.
 func (d *Directory) Write(node NodeID, addr uint64) Outcome {
 	d.checkNode(node)
-	d.ensureStats()
+	l := d.line(addr)
 	s := &d.stats[node]
 	s.Accesses++
-	l := d.line(addr)
 	bit := uint16(1) << uint(node)
 
 	switch {
-	case l.owner == int8(node):
+	case l.owner == ownerTag(node):
 		// E→M silent upgrade or M hit.
 		l.dirty = true
 		s.LocalHits++
 		d.noteHolding(node, addr)
 		return LocalHit
-	case l.owner >= 0:
+	case l.owner != 0:
 		// Another node owns it: invalidate-and-fetch.
 		if l.dirty {
 			s.Writebacks++
 		}
 		s.Invalidations++
-		d.noteLost(NodeID(l.owner), addr)
-		l.owner = int8(node)
+		d.noteLost(NodeID(l.owner-1), addr)
+		l.owner = ownerTag(node)
 		l.dirty = true
 		l.sharers = 0
 		d.noteHolding(node, addr)
 		return RemoteInvalidate
 	case l.sharers != 0:
 		others := l.sharers &^ bit
-		l.owner = int8(node)
+		l.owner = ownerTag(node)
 		l.dirty = true
 		l.sharers = 0
 		d.noteHolding(node, addr)
@@ -236,7 +265,7 @@ func (d *Directory) Write(node NodeID, addr uint64) Outcome {
 		s.LocalHits++
 		return LocalHit
 	default:
-		l.owner = int8(node)
+		l.owner = ownerTag(node)
 		l.dirty = true
 		s.MemoryFetches++
 		d.noteHolding(node, addr)
@@ -247,12 +276,12 @@ func (d *Directory) Write(node NodeID, addr uint64) Outcome {
 // holders returns how many nodes hold addr in any valid state (testing aid
 // and invariant source).
 func (d *Directory) holders(addr uint64) int {
-	l, ok := d.lines[addr]
-	if !ok {
+	l := d.lookup(addr)
+	if l == nil {
 		return 0
 	}
 	n := bits.OnesCount16(l.sharers)
-	if l.owner >= 0 {
+	if l.owner != 0 {
 		n++
 	}
 	return n
@@ -262,30 +291,53 @@ func (d *Directory) holders(addr uint64) int {
 // discipline for every line, returning a descriptive error-like string
 // ("" when clean). Exercised by property tests.
 func (d *Directory) CheckInvariants() string {
-	for addr, l := range d.lines {
-		if l.owner >= 0 && l.sharers != 0 {
-			return fmt.Sprintf("line %#x: owner %d coexists with sharers %#x", addr, l.owner, l.sharers)
+	var held [MaxNodes]int
+	for addr := range d.lines {
+		l := &d.lines[addr]
+		if *l == (lineState{}) {
+			continue
 		}
-		if l.owner >= int8(d.nodes) {
-			return fmt.Sprintf("line %#x: owner %d out of range", addr, l.owner)
+		if l.owner != 0 && l.sharers != 0 {
+			return fmt.Sprintf("line %#x: owner %d coexists with sharers %#x", addr, l.owner-1, l.sharers)
+		}
+		if int(l.owner) > d.nodes {
+			return fmt.Sprintf("line %#x: owner %d out of range", addr, l.owner-1)
 		}
 		if l.sharers>>uint(d.nodes) != 0 {
 			return fmt.Sprintf("line %#x: sharer bitmap %#x exceeds node count", addr, l.sharers)
 		}
-		if l.dirty && l.owner < 0 {
+		if l.dirty && l.owner == 0 {
 			return fmt.Sprintf("line %#x: dirty without owner", addr)
 		}
 		if d.caches != nil {
 			for n := 0; n < d.nodes; n++ {
-				holds := l.owner == int8(n) || l.sharers&(1<<uint(n)) != 0
-				if holds != d.caches[n].resident(addr) {
+				holds := l.holds(NodeID(n))
+				if holds != d.caches[n].resident(uint64(addr)) {
 					return fmt.Sprintf("line %#x: node %d directory/cache residency disagree", addr, n)
 				}
+				if holds {
+					held[n]++
+				}
 			}
+		}
+	}
+	// Every cached line is one the directory tracks.
+	for n := 0; d.caches != nil && n < d.nodes; n++ {
+		if held[n] != d.caches[n].len() {
+			return fmt.Sprintf("node %d: caches %d lines, directory tracks %d", n, d.caches[n].len(), held[n])
 		}
 	}
 	return ""
 }
 
-// Lines returns how many distinct lines the directory tracks.
-func (d *Directory) Lines() int { return len(d.lines) }
+// Lines returns how many distinct lines the directory tracks: lines some
+// node holds.
+func (d *Directory) Lines() int {
+	n := 0
+	for i := range d.lines {
+		if d.lines[i] != (lineState{}) {
+			n++
+		}
+	}
+	return n
+}

@@ -140,16 +140,13 @@ func (f *Func) CountOf(key uint64) uint64 {
 	return f.sketch.Estimate(key)
 }
 
-// StateLines implements nf.StateFunction: each key in the batch touches
-// one counter line.
-func (f *Func) StateLines(req []byte) []uint64 {
-	n := len(req) / keyLen
-	lines := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		key := binary.BigEndian.Uint64(req[i*keyLen:])
-		lines = append(lines, mix(key, 0xC0)%(1<<16))
+// AppendStateLines implements nf.StateFunction: each key in the batch
+// touches one counter line.
+func (f *Func) AppendStateLines(dst []uint64, req []byte) []uint64 {
+	for i := 0; i+keyLen <= len(req); i += keyLen {
+		dst = append(dst, mix(binary.BigEndian.Uint64(req[i:]), 0xC0)%(1<<16))
 	}
-	return lines
+	return dst
 }
 
 type gen struct {

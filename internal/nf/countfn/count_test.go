@@ -115,7 +115,7 @@ func TestSketchPanics(t *testing.T) {
 
 func TestStateLines(t *testing.T) {
 	f := NewFunc(4, 100)
-	lines := f.StateLines(batch(1, 2, 3, 1))
+	lines := f.AppendStateLines(nil, batch(1, 2, 3, 1))
 	if len(lines) != 4 {
 		t.Fatalf("lines = %v", lines)
 	}

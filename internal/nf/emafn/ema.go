@@ -80,15 +80,12 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	return resp, nil
 }
 
-// StateLines implements nf.StateFunction: one state line per key.
-func (f *Func) StateLines(req []byte) []uint64 {
-	n := len(req) / recLen
-	lines := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		key := binary.BigEndian.Uint64(req[i*recLen:])
-		lines = append(lines, key%(1<<16))
+// AppendStateLines implements nf.StateFunction: one state line per key.
+func (f *Func) AppendStateLines(dst []uint64, req []byte) []uint64 {
+	for i := 0; i+recLen <= len(req); i += recLen {
+		dst = append(dst, binary.BigEndian.Uint64(req[i:])%(1<<16))
 	}
-	return lines
+	return dst
 }
 
 type gen struct {

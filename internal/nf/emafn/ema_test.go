@@ -100,7 +100,7 @@ func TestAlphaValidation(t *testing.T) {
 func TestStateLines(t *testing.T) {
 	f := NewFunc(2, 0.5)
 	req := append(rec(7, 1), rec(7, 2)...)
-	lines := f.StateLines(req)
+	lines := f.AppendStateLines(nil, req)
 	if len(lines) != 2 || lines[0] != lines[1] {
 		t.Fatalf("lines = %v", lines)
 	}

@@ -139,19 +139,19 @@ func (f *Func) Process(req []byte) ([]byte, error) {
 	}
 }
 
-// StateLines implements nf.StateFunction: a request touches the hash line
-// of its key (plus a second line for the value on mutation).
-func (f *Func) StateLines(req []byte) []uint64 {
+// AppendStateLines implements nf.StateFunction: a request touches the
+// hash line of its key (plus a second line for the value on mutation).
+func (f *Func) AppendStateLines(dst []uint64, req []byte) []uint64 {
 	op, key, _, err := parse(req)
 	if err != nil {
-		return nil
+		return dst
 	}
 	h := fnv64(key)
-	lines := []uint64{h % (1 << 18)}
+	dst = append(dst, h%(1<<18))
 	if op != OpRead {
-		lines = append(lines, (h>>18)%(1<<18))
+		dst = append(dst, (h>>18)%(1<<18))
 	}
-	return lines
+	return dst
 }
 
 func fnv64(b []byte) uint64 {

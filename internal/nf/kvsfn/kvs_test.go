@@ -103,16 +103,16 @@ func TestValueIsolation(t *testing.T) {
 
 func TestStateLines(t *testing.T) {
 	f := NewFunc()
-	read := f.StateLines(Encode(OpRead, []byte("k"), nil))
-	write := f.StateLines(Encode(OpWrite, []byte("k"), []byte("v")))
+	read := f.AppendStateLines(nil, Encode(OpRead, []byte("k"), nil))
+	write := f.AppendStateLines(nil, Encode(OpWrite, []byte("k"), []byte("v")))
 	if len(read) != 1 || len(write) != 2 {
 		t.Fatalf("read lines %v, write lines %v", read, write)
 	}
 	if read[0] != write[0] {
 		t.Fatal("same key should hash to the same line")
 	}
-	if f.StateLines([]byte{1}) != nil {
-		t.Fatal("malformed request should have no state lines")
+	if got := f.AppendStateLines(read, []byte{1}); len(got) != len(read) {
+		t.Fatalf("malformed request appended state lines: %v", got[len(read):])
 	}
 }
 

@@ -88,13 +88,17 @@ type Function interface {
 	Process(req []byte) ([]byte, error)
 }
 
-// StateFunction is implemented by stateful functions. StateLines reports
-// the cache-line identifiers the given request will touch in the shared
-// state region; the coherence simulator charges transfer costs for them
-// when the SNIC and host process the function cooperatively.
+// StateFunction is implemented by stateful functions. AppendStateLines
+// appends to dst the cache-line identifiers the given request will touch
+// in the shared state region and returns the extended slice, in the manner
+// of strconv.AppendInt: a caller that passes dst[:0] back in touches no
+// allocator once dst has grown. A malformed request appends nothing. The
+// coherence simulator charges transfer costs for the lines when the SNIC
+// and host process the function cooperatively; line IDs must be below
+// coherence.MaxLines.
 type StateFunction interface {
 	Function
-	StateLines(req []byte) []uint64
+	AppendStateLines(dst []uint64, req []byte) []uint64
 }
 
 // RequestGen produces a stream of valid request payloads for a function —

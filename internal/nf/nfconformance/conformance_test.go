@@ -90,18 +90,29 @@ func TestStatefulFunctionsExposeStateLines(t *testing.T) {
 		if !hasState {
 			continue
 		}
+		// AppendStateLines must keep dst's prefix, append the same lines
+		// for the same request, and append nothing for a malformed one.
+		prefix := []uint64{7, 9}
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 50; i++ {
 			req := gen.Next(rng)
-			a := sf.StateLines(req)
-			b := sf.StateLines(req)
-			if len(a) == 0 {
+			a := sf.AppendStateLines(append([]uint64(nil), prefix...), req)
+			b := sf.AppendStateLines(nil, req)
+			if len(a) != len(prefix)+len(b) || a[0] != prefix[0] || a[1] != prefix[1] {
+				t.Fatalf("%v: dst prefix not kept: %v then %v", id, a, b)
+			}
+			if len(b) == 0 {
 				t.Errorf("%v: request with no state lines", id)
 			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Errorf("%v: StateLines not deterministic", id)
+			for j := range b {
+				if a[len(prefix)+j] != b[j] {
+					t.Errorf("%v: AppendStateLines not deterministic", id)
 				}
+			}
+		}
+		if id == nf.KVS {
+			if got := sf.AppendStateLines(prefix, []byte{1}); len(got) != len(prefix) {
+				t.Errorf("%v: malformed request appended %v", id, got[len(prefix):])
 			}
 		}
 	}

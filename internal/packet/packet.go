@@ -86,10 +86,9 @@ type Packet struct {
 	IPChecksum  uint16
 	UDPChecksum uint16
 
-	// Timestamps (simulation nanoseconds) for latency accounting.
-	CreatedAt  int64
-	EnqueuedAt int64
-	DepartedAt int64
+	// CreatedAt is the simulation time (ns) the client sent the packet,
+	// for latency accounting.
+	CreatedAt int64
 
 	// FnTag routes the packet to a network function in pipelined setups.
 	FnTag uint8

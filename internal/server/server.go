@@ -554,13 +554,15 @@ func (r *run) build() error {
 	// 0.3–0.4% throughput loss from coherence (§VII-B).
 	if r.stateFn != nil {
 		stateCost := func(node int, prof platform.FnProfile) func(*packet.Packet) sim.Time {
+			var lines []uint64 // this side's scratch, reused every packet
 			return func(p *packet.Packet) sim.Time {
 				if p.FnTag != 0 {
 					// Mixed-in second function: its state (if any) is
 					// not the primary function's shared region.
 					return 0
 				}
-				raw := cfg.Fabric.AccessOverlapped(coherence.NodeID(node), r.stateFn.StateLines(p.Payload), true)
+				lines = r.stateFn.AppendStateLines(lines[:0], p.Payload)
+				raw := cfg.Fabric.AccessOverlapped(coherence.NodeID(node), lines, true)
 				slack := sim.Time(float64(prof.ServiceTime(p.WireLen, nil)) * 0.75)
 				if raw <= slack {
 					return 0
