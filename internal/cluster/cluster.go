@@ -21,12 +21,6 @@ import (
 // which keeps the base seed's streams) share a stream.
 const seedStride = 1009
 
-// pend is the ingress's record of one in-flight request.
-type pend struct {
-	srv     int32
-	wireLen int32
-}
-
 // crun is one cluster run.
 type crun struct {
 	cfg server.Config
@@ -42,8 +36,7 @@ type crun struct {
 	fab  *fabric
 
 	// Ingress state.
-	inflight    map[uint64]pend
-	outstanding []int64
+	outstanding []int64  // per server, requests dispatched and not yet answered
 	totalPkts   []uint64 // per server, all-time dispatched
 	totalB      []uint64
 	sentPkts    []uint64 // per server, post-warmup dispatched
@@ -64,29 +57,38 @@ type crun struct {
 // latency percentiles observed at the shared ingress (fabric round trip
 // included); mean Fwd_Th and utilization across servers.
 func Run(cfg server.Config, rc server.RunConfig) (server.Result, error) {
-	if cfg.Cluster == nil {
-		return server.Result{}, fmt.Errorf("cluster: Config.Cluster is nil")
-	}
-	if cfg.Faults != nil {
-		return server.Result{}, fmt.Errorf("cluster: per-server fault plans are not supported; use Cluster.Crashes")
-	}
-	if cfg.Telemetry.TraceEvery > 0 {
-		return server.Result{}, fmt.Errorf("cluster: packet tracing (Telemetry.TraceEvery) is not supported for fleets")
-	}
-	if err := server.Normalize(&cfg, &rc); err != nil {
-		return server.Result{}, err
-	}
-	cc, err := cfg.Cluster.WithDefaults(rc.Duration)
+	c, err := newRun(cfg, rc)
 	if err != nil {
-		return server.Result{}, err
-	}
-	c := &crun{cfg: cfg, cc: cc, rc: rc}
-	if err := c.build(); err != nil {
 		return server.Result{}, err
 	}
 	c.start()
 	c.run()
 	return c.collect(), nil
+}
+
+// newRun validates cfg and rc and builds the fleet, ready to start.
+func newRun(cfg server.Config, rc server.RunConfig) (*crun, error) {
+	if cfg.Cluster == nil {
+		return nil, fmt.Errorf("cluster: Config.Cluster is nil")
+	}
+	if cfg.Faults != nil {
+		return nil, fmt.Errorf("cluster: per-server fault plans are not supported; use Cluster.Crashes")
+	}
+	if cfg.Telemetry.TraceEvery > 0 {
+		return nil, fmt.Errorf("cluster: packet tracing (Telemetry.TraceEvery) is not supported for fleets")
+	}
+	if err := server.Normalize(&cfg, &rc); err != nil {
+		return nil, err
+	}
+	cc, err := cfg.Cluster.WithDefaults(rc.Duration)
+	if err != nil {
+		return nil, err
+	}
+	c := &crun{cfg: cfg, cc: cc, rc: rc}
+	if err := c.build(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // build wires the engine, pool, instances, ingress and telemetry.
@@ -125,22 +127,23 @@ func (c *crun) build() error {
 		}
 	}
 
-	// Ingress: dispatch policy, in-flight table, measurement.
+	// Ingress: dispatch policy, in-flight counts, measurement.
 	c.disp = newDispatcher(c.cc.Dispatch, n, c.cfg.Seed+23)
-	c.inflight = make(map[uint64]pend, 4096)
 	c.outstanding = make([]int64, n)
 	c.totalPkts = make([]uint64, n)
 	c.totalB = make([]uint64, n)
 	c.sentPkts = make([]uint64, n)
 	c.sentB = make([]uint64, n)
-	c.respCall = func(a any, _ int64) { c.deliver(a.(*packet.Packet)) }
+	// Both response handlers carry the answering server as the event's
+	// scalar, so the ingress needs no per-request table.
+	c.respCall = func(a any, srv int64) { c.deliver(a.(*packet.Packet), int(srv)) }
 	// upCall finishes a podded response's trip at the ingress: it fires
 	// at the ToR-arrival instant, serializes the frame onto the pod's
 	// upstream uplink and schedules the final delivery.
 	c.upCall = func(a any, srv int64) {
 		p := a.(*packet.Packet)
 		arr := c.fab.podUp(int(srv), c.eng.Now(), p.WireLen)
-		c.eng.AtCall(arr, c.respCall, p, 0)
+		c.eng.AtCall(arr, c.respCall, p, srv)
 	}
 	src, err := server.NewTrafficSource(c.cfg, c.rc, c.eng, c.pool, c.dispatch)
 	if err != nil {
@@ -233,7 +236,6 @@ func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 		c.sentPkts[i]++
 		c.sentB[i] += uint64(p.WireLen)
 	}
-	c.inflight[p.ID] = pend{srv: int32(i), wireLen: int32(p.WireLen)}
 	c.outstanding[i]++
 	arr := c.fab.down(i, at, p.WireLen)
 	c.eng.AtCall(arr, c.reqCalls[i], p, 0)
@@ -246,22 +248,20 @@ func (c *crun) dispatch(p *packet.Packet, at sim.Time) {
 // instant.
 func (c *crun) respond(srv int, p *packet.Packet) {
 	arr := c.fab.up(srv, c.eng.Now(), p.WireLen)
-	call, n := c.respCall, int64(0)
+	call := c.respCall
 	if c.fab.pods > 1 {
-		call, n = c.upCall, int64(srv)
+		call = c.upCall
 	}
-	c.eng.AtCall(arr, call, p, n)
+	c.eng.AtCall(arr, call, p, int64(srv))
 }
 
-// deliver closes one round trip at the ingress: the dispatch record is
-// settled and the meter takes the request's bytes and the round trip.
-func (c *crun) deliver(p *packet.Packet) {
+// deliver closes one round trip at the ingress: server srv's in-flight
+// count is settled and the meter takes the request's bytes (carried back
+// on the response as ReqLen) and the round trip.
+func (c *crun) deliver(p *packet.Packet, srv int) {
 	created := sim.Time(p.CreatedAt)
-	if pd, ok := c.inflight[p.ID]; ok {
-		delete(c.inflight, p.ID)
-		c.outstanding[pd.srv]--
-		c.m.AddBytes(created, int(pd.wireLen))
-	}
+	c.outstanding[srv]--
+	c.m.AddBytes(created, int(p.ReqLen))
 	c.m.AddRTT(created, int64(c.eng.Now())-p.CreatedAt)
 	c.pool.Put(p)
 }

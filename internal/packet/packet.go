@@ -85,6 +85,11 @@ type Packet struct {
 	// helpers.
 	IPChecksum  uint16
 	UDPChecksum uint16
+	// ReqLen is, on a response, the wire length of the request it
+	// answers (zero on a request). A fleet's ingress settles its byte
+	// accounting from it. It fills padding after the checksums, so the
+	// struct stays 96 bytes.
+	ReqLen int32
 
 	// CreatedAt is the simulation time (ns) the client sent the packet,
 	// for latency accounting.

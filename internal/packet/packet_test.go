@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 var (
@@ -13,6 +14,14 @@ var (
 	hostAddr = Addr{MAC: MAC{0x02, 0, 0, 0, 0, 2}, IP: IPv4{10, 0, 0, 2}}
 	cliAddr  = Addr{MAC: MAC{0x02, 0, 0, 0, 0, 9}, IP: IPv4{10, 0, 0, 9}}
 )
+
+// TestPacketSize pins the pooled packet at 96 bytes: ReqLen rides in the
+// padding after the checksums, so a new field must find room the same way.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 96 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 96", got)
+	}
+}
 
 func TestMarshalParseRoundTrip(t *testing.T) {
 	p := New(cliAddr, snicAddr, 4000, 9000, []byte("hello network function"))

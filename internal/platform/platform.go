@@ -119,9 +119,25 @@ func (p FnProfile) Timer() ServiceTimer {
 
 // Sample draws one service time; equivalent to FnProfile.ServiceTime.
 func (t ServiceTimer) Sample(wireBytes int, rng *rand.Rand) sim.Time {
-	st := t.overheadNS + sim.Time(float64(wireBytes)*t.byteNS)
+	var e float64
 	if rng != nil && t.jitterNS > 0 {
-		st += sim.Time(rng.ExpFloat64() * t.jitterNS)
+		e = rng.ExpFloat64()
+	}
+	return t.SampleExp(wireBytes, e)
+}
+
+// Jittered reports whether the profile has a jitter term, that is, whether
+// Sample consumes a draw from its rng.
+func (t ServiceTimer) Jittered() bool { return t.jitterNS > 0 }
+
+// SampleExp is Sample with the unit-exponential draw e supplied by the
+// caller, who took it from the rng Sample would have used (e is ignored
+// when the profile is not Jittered). The arithmetic is Sample's, so the
+// result is bit-for-bit the same.
+func (t ServiceTimer) SampleExp(wireBytes int, e float64) sim.Time {
+	st := t.overheadNS + sim.Time(float64(wireBytes)*t.byteNS)
+	if t.jitterNS > 0 {
+		st += sim.Time(e * t.jitterNS)
 	}
 	return st
 }

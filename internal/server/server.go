@@ -818,6 +818,7 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	resp.ID = p.ID
 	resp.CreatedAt = p.CreatedAt
 	resp.WireLen = 128
+	resp.ReqLen = int32(p.WireLen)
 	// The request struct is fully consumed; recycle it for a future
 	// arrival.
 	r.pool.Put(p)

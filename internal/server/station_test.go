@@ -268,3 +268,50 @@ func TestClientConstantTinyRateClamped(t *testing.T) {
 	c.start() // must not panic: gap clamps to an hour
 	eng.RunUntil(5 * sim.Millisecond)
 }
+
+// TestStationJitterBatchMatchesSample runs 12k packets through one station
+// and checks every service time against ServiceTimer.Sample driven by a
+// fresh rng with the station's seed: the batched jitter stream must yield
+// the same draws in the same order. Every third packet takes the alternate
+// profile, and the main profile switches to a zero-jitter one and back
+// mid-batch, so draws are skipped and resumed across batch boundaries.
+func TestStationJitterBatchMatchesSample(t *testing.T) {
+	const seed = 7
+	main := testProfile(1, 8)
+	main.OverheadNS, main.JitterMeanNS = 300, 400
+	alt := testProfile(1, 4)
+	alt.JitterMeanNS = 900
+	flat := testProfile(1, 8)
+	flat.OverheadNS = 250
+
+	eng := sim.NewEngine()
+	st := newStation(eng, "t", main, 64, seed)
+	st.setAltProfile(&alt)
+	ref := rand.New(rand.NewSource(seed))
+	mainTm, altTm := main.Timer(), alt.Timer()
+	for i := 0; i < 12000; i++ {
+		switch i {
+		case 4001:
+			st.setProfile(flat)
+			mainTm = flat.Timer()
+		case 8003:
+			st.setProfile(main)
+			mainTm = main.Timer()
+		}
+		p := stationPkt(uint64(i), 64+i*37%1437)
+		tm := mainTm
+		if i%3 == 0 {
+			p.FnTag = 1
+			tm = altTm
+		}
+		want := tm.Sample(p.WireLen, ref)
+		before := st.busyTime
+		if !st.enqueue(p) {
+			t.Fatalf("packet %d dropped", i)
+		}
+		eng.Run()
+		if got := st.busyTime - before; got != want {
+			t.Fatalf("packet %d: service time %d, want %d", i, got, want)
+		}
+	}
+}

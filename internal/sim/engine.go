@@ -13,9 +13,11 @@
 // heap's O(log n) sifts. All wheel storage — the node slab, the free-list
 // threaded through it, the cascade scratch — is retained across Run/RunUntil
 // cycles, so a steady-state simulation schedules millions of events with
-// zero allocations. Hot paths should prefer ScheduleCall/AtCall, which carry
-// a pre-bound handler plus two argument words instead of a freshly captured
-// closure.
+// zero allocations. Every event is one 48-byte cell: (at, seq) plus a
+// pre-bound Call and its two argument words. Closures scheduled with
+// At/Schedule take the same route, boxed as the argument of callFunc. Hot
+// paths should still prefer ScheduleCall/AtCall with a handler bound once,
+// so no closure is captured per event.
 package sim
 
 import (
@@ -54,16 +56,21 @@ func (t Time) String() string {
 type Call func(arg any, n int64)
 
 // event is a scheduled callback, stored by value inside the wheel slab and
-// the overflow heap. Exactly one of fn (cold path, captured closure) or
-// call (hot path, pre-bound handler + argument words) is set.
+// the overflow heap: 48 bytes, a pre-bound handler plus its two argument
+// words. Closures scheduled with At/Schedule carry no field of their own:
+// they ride as arg under callFunc.
 type event struct {
 	at   Time
 	seq  uint64 // tie-break among same-time events: schedule order
-	fn   func()
 	call Call
 	arg  any
 	n    int64
 }
+
+// callFunc fires a closure scheduled with At/Schedule, carried as the
+// event's arg. A func value is pointer-shaped, so boxing it into arg does
+// not allocate.
+func callFunc(a any, _ int64) { a.(func())() }
 
 // before reports queue ordering: earliest time first, FIFO within a time.
 func (ev *event) before(o *event) bool {
@@ -124,18 +131,7 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 }
 
 // At runs fn at absolute time t, which must not precede the current time.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	seq := e.seq
-	e.seq++
-	if ev := e.q.insertSlot(t); ev != nil {
-		*ev = event{at: t, seq: seq, fn: fn}
-	} else {
-		e.q.insertOverflow(event{at: t, seq: seq, fn: fn})
-	}
-}
+func (e *Engine) At(t Time, fn func()) { e.AtCall(t, callFunc, fn, 0) }
 
 // ScheduleCall runs call(arg, n) after delay. It is the allocation-free
 // alternative to Schedule: the caller passes a handler bound once (a struct
@@ -162,15 +158,6 @@ func (e *Engine) AtCall(t Time, call Call, arg any, n int64) {
 	}
 }
 
-// dispatch fires one event.
-func (ev *event) dispatch() {
-	if ev.call != nil {
-		ev.call(ev.arg, ev.n)
-		return
-	}
-	ev.fn()
-}
-
 // Stop makes the current Run/RunUntil return after the in-flight event
 // completes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
@@ -190,10 +177,10 @@ func (e *Engine) RunUntil(deadline Time) {
 			e.now = deadline
 			return
 		}
-		ev := e.q.popHead()
+		call, arg, n := e.q.popHead()
 		e.now = at
 		e.processed++
-		ev.dispatch()
+		call(arg, n)
 	}
 	if e.now < deadline && !e.stopped {
 		e.now = deadline
@@ -208,10 +195,10 @@ func (e *Engine) Run() {
 		if !e.q.findHead() {
 			break
 		}
-		ev := e.q.popHead()
-		e.now = ev.at
+		e.now = e.q.headAt
+		call, arg, n := e.q.popHead()
 		e.processed++
-		ev.dispatch()
+		call(arg, n)
 	}
 }
 

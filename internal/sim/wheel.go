@@ -191,7 +191,7 @@ func (w *timerWheel) place(at Time) (l int, idx int, ok bool) {
 // insertSlot files a slab cell for an event at absolute time at (the
 // caller — the engine — guarantees at >= wt) and returns the cell for the
 // caller to fill in place: one set of stores into the slab instead of a
-// stack construction plus a 56-byte copy. A nil return means at lies
+// stack construction plus a 48-byte copy. A nil return means at lies
 // beyond the horizon; the caller hands the built event to insertOverflow.
 func (w *timerWheel) insertSlot(at Time) *event {
 	if !w.inited {
@@ -436,9 +436,11 @@ func (w *timerWheel) nextAt() (Time, bool) {
 	return w.headAt, true
 }
 
-// popHead removes and returns the earliest event. findHead (or nextAt) must
-// have reported true since the last mutation.
-func (w *timerWheel) popHead() event {
+// popHead removes the earliest event and returns its handler and argument
+// words; its instant is headAt. findHead (or nextAt) must have reported
+// true since the last mutation. Only the three fields the caller fires are
+// read out of the cell, not the whole event.
+func (w *timerWheel) popHead() (call Call, arg any, n int64) {
 	w.headValid = false
 	if w.headOverflow {
 		ev := w.overflow.pop()
@@ -446,12 +448,12 @@ func (w *timerWheel) popHead() event {
 		if e := (ev.at &^ Time(l0Mask)) + l0Slots; e > w.winEnd {
 			w.winEnd = e
 		}
-		return ev
+		return ev.call, ev.arg, ev.n
 	}
 	s := &w.slots0[w.headSlot]
-	n := s.head
-	nd := &w.slab[n]
-	ev := nd.ev
+	i := s.head
+	nd := &w.slab[i]
+	call, arg, n = nd.ev.call, nd.ev.arg, nd.ev.n
 	s.head = nd.next
 	if s.head < 0 {
 		s.tail = -1
@@ -460,12 +462,11 @@ func (w *timerWheel) popHead() event {
 	// Drop the freed cell's references so the retained slab pins no
 	// closures, handlers, or packets for the garbage collector; the
 	// scalars are fully overwritten on reuse.
-	nd.ev.fn = nil
 	nd.ev.call = nil
 	nd.ev.arg = nil
 	nd.next = w.free
-	w.free = n
+	w.free = i
 	w.size--
-	w.wt = ev.at
-	return ev
+	w.wt = w.headAt
+	return call, arg, n
 }

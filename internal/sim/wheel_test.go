@@ -17,7 +17,7 @@ type heapEngine struct {
 
 func (r *heapEngine) Schedule(delay Time, fn func()) {
 	r.seq++
-	r.h.push(event{at: r.now + delay, seq: r.seq, fn: fn})
+	r.h.push(event{at: r.now + delay, seq: r.seq, call: callFunc, arg: fn})
 }
 
 func (r *heapEngine) RunUntil(deadline Time) {
@@ -28,7 +28,7 @@ func (r *heapEngine) RunUntil(deadline Time) {
 		}
 		ev := r.h.pop()
 		r.now = ev.at
-		ev.fn()
+		ev.call(ev.arg, ev.n)
 	}
 	if r.now < deadline {
 		r.now = deadline
@@ -39,7 +39,7 @@ func (r *heapEngine) Run() {
 	for r.h.len() > 0 {
 		ev := r.h.pop()
 		r.now = ev.at
-		ev.fn()
+		ev.call(ev.arg, ev.n)
 	}
 }
 
