@@ -1,6 +1,7 @@
 package halsim_test
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -77,11 +78,57 @@ func goldenRuns(t *testing.T, tel halsim.TelemetryConfig) string {
 		t.Fatal(err)
 	}
 	line("HAL/NAT/faulted", res)
+	writeGoldenPhases(&b, res)
+
+	// SLB on the host: every packet reaches the host first and the SNIC's
+	// share takes the long path back.
+	res, err = halsim.Run(
+		halsim.Config{Mode: halsim.SLBHost, Fn: halsim.NAT, SLBFwdThGbps: 30, Seed: 7, Telemetry: tel},
+		halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line("SLBHost/NAT", res)
+
+	// Fault-free drained run: every response reaches the wire before the
+	// queue empties, so the ledger closes with nothing in flight.
+	res, err = halsim.Run(
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel},
+		halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 80, Drain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.InFlightEnd != 0 {
+		t.Fatalf("drained run ended with %d packets in flight", res.InFlightEnd)
+	}
+	line("HAL/NAT/drained", res)
+
+	// Rate series and phases over a run past SNIC capacity: the windows
+	// that bytes and round trips are metered into.
+	res, err = halsim.Run(
+		halsim.Config{Mode: halsim.HAL, Fn: halsim.NAT, Seed: 7, Telemetry: tel},
+		halsim.RunConfig{Duration: 8 * halsim.Millisecond, RateGbps: 80,
+			RateWindow: 250 * halsim.Microsecond,
+			PhaseMarks: []halsim.Time{3 * halsim.Millisecond, 6 * halsim.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line("HAL/NAT/windows", res)
+	writeGoldenPhases(&b, res)
+	rs := sha256.New()
+	for _, g := range res.RateSeries {
+		fmt.Fprintf(rs, "%v\n", g)
+	}
+	fmt.Fprintf(&b, "  rate: window=%v n=%d sha256=%x\n", res.RateWindow, len(res.RateSeries), rs.Sum(nil))
+	return b.String()
+}
+
+// writeGoldenPhases prints one line per measurement phase of res.
+func writeGoldenPhases(b *strings.Builder, res halsim.Result) {
 	for i, ph := range res.Phases {
-		fmt.Fprintf(&b, "  phase%d: [%v,%v) avg=%v p99=%v power=%v completed=%d\n",
+		fmt.Fprintf(b, "  phase%d: [%v,%v) avg=%v p99=%v power=%v completed=%d\n",
 			i, ph.Start, ph.End, ph.AvgGbps, ph.P99us, ph.AvgPowerW, ph.Completed)
 	}
-	return b.String()
 }
 
 // TestGoldenDeterminism locks the simulator's numeric output to a committed
