@@ -127,25 +127,19 @@ func (p *Packet) init(src, dst Addr, srcPort, dstPort uint16, payload []byte) {
 	}
 }
 
-// reset reinitializes a recycled packet in one composite-literal store, so
-// the zeroing of the stale struct and the field writes of init fuse into a
-// single pass over the memory.
+// reset reinitializes a recycled packet as init would a zeroed one. The
+// fields init does not write are cleared one by one and init then fills
+// the rest in place: a composite-literal store (*p = Packet{...}) compiles
+// to a stack temporary plus a block copy instead of one pass over the
+// struct.
 func (p *Packet) reset(src, dst Addr, srcPort, dstPort uint16, payload []byte) {
-	wl := len(payload) + HeaderOverhead
-	if wl < MinWireLen {
-		wl = MinWireLen
-	}
-	*p = Packet{
-		SrcMAC:  src.MAC,
-		DstMAC:  dst.MAC,
-		SrcIP:   src.IP,
-		DstIP:   dst.IP,
-		SrcPort: srcPort,
-		DstPort: dstPort,
-		Proto:   ProtoUDP,
-		Payload: payload,
-		WireLen: wl,
-	}
+	p.ID = 0
+	p.IPChecksum, p.UDPChecksum = 0, 0
+	p.ReqLen = 0
+	p.CreatedAt = 0
+	p.FnTag = 0
+	p.Diverted = false
+	p.init(src, dst, srcPort, dstPort, payload)
 }
 
 // Clone returns a deep copy (payload included).

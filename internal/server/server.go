@@ -414,12 +414,15 @@ type run struct {
 	slbMon *core.TrafficMonitor
 	slbFwd *station
 
-	// fwdAt is the wire-arrival base time of the packet currently inside
-	// sw.Forward: the PCIe-crossing binds schedule the arrive events at
-	// fwdAt+crossing instead of Now+crossing, so a burst-coalesced ingress
-	// (which forwards packets before their arrival instant) still lands
-	// every packet at its exact analytic arrival time. Every Forward call
-	// site sets it first; outside burst expansion it equals the clock.
+	// fwdAt is the instant of the packet currently inside sw.Forward: its
+	// wire arrival on the way in, its egress on the way out. The
+	// PCIe-crossing binds schedule the arrive events at fwdAt+crossing
+	// instead of Now+crossing, so a burst-coalesced ingress (which
+	// forwards packets before their arrival instant) still lands every
+	// packet at its exact analytic arrival time, and the wire delivery
+	// reads a response's round trip from it. Every Forward call site sets
+	// it first; outside burst expansion and analytic egress it equals the
+	// clock.
 	fwdAt sim.Time
 
 	hostSleep *dpdk.SleepController
@@ -483,17 +486,9 @@ func (r *run) build() error {
 		r.fwdAt = r.eng.Now()
 		r.sw.Forward(p)
 	}
-	// forwardCall carries completed responses to the wire at their egress
-	// instant, so the HAL merger — which must see host responses before the
-	// eSwitch does — applies here rather than at the completion site.
-	r.forwardCall = func(a any, _ int64) {
-		p := a.(*packet.Packet)
-		if r.hal != nil {
-			r.hal.Egress(p)
-		}
-		r.fwdAt = r.eng.Now()
-		r.sw.Forward(p)
-	}
+	// forwardCall carries a completed response to the wire at its egress
+	// instant when complete cannot deliver it analytically.
+	r.forwardCall = func(a any, _ int64) { r.egress(a.(*packet.Packet), r.eng.Now()) }
 	r.toSNICCall = func(a any, _ int64) { r.snic.first.enqueue(a.(*packet.Packet)) }
 	r.toHostCall = func(a any, _ int64) { r.host.first.enqueue(a.(*packet.Packet)) }
 	var err error
@@ -770,8 +765,9 @@ func (r *run) arriveHost(p *packet.Packet) {
 }
 
 // complete fires when the (last) function finishes a packet: it accounts
-// the delivery and schedules the response's egress toward the merger and
-// the wire.
+// the delivery and sends the response toward the merger and the wire,
+// delivering it at its egress instant right away when egressNow allows and
+// by an event at that instant otherwise.
 func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	if r.cfg.Functional {
 		// Really execute the function(s): the first stage's output feeds
@@ -826,22 +822,65 @@ func (r *run) complete(p *packet.Packet, onSNIC bool) {
 	if !onSNIC {
 		egress += platform.PCIeCrossNS
 	}
+	sampled := r.tr.Sampled(resp.ID)
 	if r.cfg.Mode == HAL {
 		egress += core.EgressLatency
-		if !onSNIC && r.tr.Sampled(resp.ID) {
+		if !onSNIC && sampled {
 			r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindMerge,
 				Station: telemetry.StHLB, Core: -1, Pkt: resp.ID})
 		}
 	}
-	r.eng.ScheduleCall(egress, r.forwardCall, resp, 0)
+	if at := r.eng.Now() + egress; r.egressNow(at, sampled) {
+		r.egress(resp, at)
+	} else {
+		r.eng.AtCall(at, r.forwardCall, resp, 0)
+	}
 }
 
-// deliverResponse hands the client-observed round trip to the meter.
+// egressNow reports whether a response leaving at instant at can be
+// delivered right away instead of by an event at at. It can when nothing
+// between now and at could observe the difference:
+//   - the server is standalone: a fleet's respond hands responses to the
+//     fabric, which serializes them in egress order;
+//   - the event would have fired: the run drains, or at is within
+//     Duration;
+//   - the packet is not traced, so the trace keeps its emission order;
+//   - no telemetry tick falls in [now, at], so the round trip lands in
+//     the same timeline p99 window.
+//
+// Everything else the delivery does is order-insensitive: the merger and
+// eSwitch counters are read only when the run is collected, Meter.AddRTT
+// is keyed by creation time, and bytes were already metered at
+// completion.
+func (r *run) egressNow(at sim.Time, sampled bool) bool {
+	if r.respond != nil || sampled || (!r.rc.Drain && at > r.rc.Duration) {
+		return false
+	}
+	if r.smp == nil {
+		return true
+	}
+	now, p := r.eng.Now(), r.smp.period
+	return now%p != 0 && now/p == at/p
+}
+
+// egress carries a completed response through the HAL merger (which must
+// see host responses before the eSwitch does) and the eSwitch to the wire
+// at its egress instant at.
+func (r *run) egress(p *packet.Packet, at sim.Time) {
+	if r.hal != nil {
+		r.hal.Egress(p)
+	}
+	r.fwdAt = at
+	r.sw.Forward(p)
+}
+
+// deliverResponse hands the client-observed round trip to the meter. The
+// response reaches the wire at r.fwdAt, which may lie ahead of the clock.
 func (r *run) deliverResponse(p *packet.Packet) {
-	rtt := int64(r.eng.Now()) - p.CreatedAt
+	rtt := int64(r.fwdAt) - p.CreatedAt
 	r.m.AddRTT(sim.Time(p.CreatedAt), rtt)
 	if r.tr.Sampled(p.ID) {
-		r.tr.Emit(telemetry.Span{T: r.eng.Now(), Kind: telemetry.KindResponse,
+		r.tr.Emit(telemetry.Span{T: r.fwdAt, Kind: telemetry.KindResponse,
 			Station: telemetry.StWire, Core: -1, Pkt: p.ID, Arg: rtt})
 	}
 	r.pool.Put(p)

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"halsim/internal/cxl"
 	"halsim/internal/nf"
+	"halsim/internal/platform"
 	"halsim/internal/sim"
+	"halsim/internal/telemetry"
 	"halsim/internal/trace"
 )
 
@@ -476,5 +480,83 @@ func TestMixValidation(t *testing.T) {
 	if _, err := Run(Config{Mode: HAL, Fn: nf.NAT, MixOn: true, MixFn: nf.KNN, MixFraction: 0.5,
 		PipelineOn: true, Pipeline: nf.REM}, short(10)); err == nil {
 		t.Fatal("mix + pipeline should fail")
+	}
+}
+
+// TestEventsPerPacketHALNAT80 pins the event budget of the headline
+// operating point: a standalone HAL server running NAT at 80 Gbps. The
+// response reaches the wire without an egress event and delay-0 hops skip
+// the timing wheel, so a packet costs at most 3.6 fired events, of which at
+// most 3.1 are filed on the wheel.
+func TestEventsPerPacketHALNAT80(t *testing.T) {
+	res, err := Run(Config{Mode: HAL, Fn: nf.NAT, Seed: 1}, RunConfig{Duration: 20 * sim.Millisecond, RateGbps: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := float64(res.SentAll)
+	perPkt := float64(res.Prof.Events) / pkts
+	wheelPerPkt := float64(res.Prof.Events-res.Prof.SameInstant) / pkts
+	t.Logf("%.3f events/packet, %.3f wheel-filed", perPkt, wheelPerPkt)
+	if perPkt > 3.6 || wheelPerPkt > 3.1 {
+		t.Fatalf("%.3f events/packet (%.3f wheel-filed), want ≤3.6 (≤3.1)", perPkt, wheelPerPkt)
+	}
+}
+
+// TestAnalyticEgressMatchesEventPath checks analytic egress delivery
+// against the egress event it replaces. Tracing every packet sends every
+// response through the event, and tracing is read-only, so a run traced
+// that way must report the same latencies, phases and timeline as an
+// untraced run, where most responses are delivered analytically. A 1 µs
+// timeline tick and slow host cores put many completions on or just
+// before a tick, where the telemetry guard decides; an undrained run
+// leaves responses due past Duration (which falls between two ticks), a
+// drained one delivers them. The engine-event column is left out: it
+// counts the skipped events.
+func TestAnalyticEgressMatchesEventPath(t *testing.T) {
+	for _, drain := range []bool{false, true} {
+		testAnalyticEgress(t, drain)
+	}
+}
+
+func testAnalyticEgress(t *testing.T, drain bool) {
+	slow := platform.HostXeon().Profile(nf.NAT)
+	slow.Servers, slow.MaxGbps = 2, 1 // about 24 µs per MTU packet
+	run := func(traceEvery int) (Result, string) {
+		res, err := Run(Config{Mode: HAL, Fn: nf.NAT, Seed: 3, HostProfile: &slow,
+			Telemetry: telemetry.Config{Timeline: true, TimelinePeriod: sim.Microsecond, TraceEvery: traceEvery}},
+			RunConfig{Duration: 4*sim.Millisecond + 500, RateGbps: 50, Drain: drain,
+				PhaseMarks: []sim.Time{sim.Millisecond, 2 * sim.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv strings.Builder
+		if err := res.Timeline.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for _, row := range strings.Split(csv.String(), "\n") {
+			rows = append(rows, row[:max(strings.LastIndexByte(row, ','), 0)])
+		}
+		return res, strings.Join(rows, "\n")
+	}
+	analytic, analyticTL := run(0)
+	event, eventTL := run(1)
+	if analytic.Prof.Events >= event.Prof.Events {
+		t.Fatalf("drain=%v: untraced run fired %d events, traced %d: no response was delivered analytically",
+			drain, analytic.Prof.Events, event.Prof.Events)
+	}
+	type latency struct {
+		Completed, CompletedAll uint64
+		P50, P99, P999, Max     float64
+		Phases                  string
+	}
+	summary := func(r Result) latency {
+		return latency{r.Completed, r.CompletedAll, r.P50us, r.P99us, r.P999us, r.MaxGbps, fmt.Sprint(r.Phases)}
+	}
+	if a, e := summary(analytic), summary(event); a != e {
+		t.Fatalf("drain=%v: analytic egress reports %+v, the egress event %+v", drain, a, e)
+	}
+	if analyticTL != eventTL {
+		t.Fatalf("drain=%v: timelines differ between analytic egress and the egress event", drain)
 	}
 }

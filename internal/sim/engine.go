@@ -14,10 +14,18 @@
 // threaded through it, the cascade scratch — is retained across Run/RunUntil
 // cycles, so a steady-state simulation schedules millions of events with
 // zero allocations. Every event is one 48-byte cell: (at, seq) plus a
-// pre-bound Call and its two argument words. Closures scheduled with
-// At/Schedule take the same route, boxed as the argument of callFunc. Hot
-// paths should still prefer ScheduleCall/AtCall with a handler bound once,
-// so no closure is captured per event.
+// pre-bound Call and its two argument words, filled field by field in
+// place. Closures scheduled with At/Schedule take the same route, boxed as
+// the argument of callFunc. Hot paths should still prefer
+// ScheduleCall/AtCall with a handler bound once, so no closure is captured
+// per event.
+//
+// An event scheduled for the current instant (delay 0) skips the wheel: it
+// is appended to a retained same-instant FIFO, which fires only once the
+// wheel and the overflow heap hold nothing more at that instant. This is
+// exact, not an approximation. Every queued event at the current instant
+// was scheduled before the clock reached it, so its seq is smaller than
+// that of any FIFO entry, and the FIFO itself keeps schedule order.
 package sim
 
 import (
@@ -84,9 +92,24 @@ func (ev *event) before(o *event) bool {
 type Engine struct {
 	q         timerWheel
 	now       Time
-	seq       uint64 // schedules issued so far; the next event's tie-break key
+	seq       uint64 // wheel schedules issued so far; the next event's tie-break key
 	processed uint64
 	stopped   bool
+
+	// same holds the events scheduled for the current instant, in
+	// schedule order, from sameHead on; fired entries drop their
+	// references. The slice is retained, so steady-state delay-0
+	// scheduling does not allocate.
+	same      []sameEvent
+	sameHead  int
+	sameFired uint64
+}
+
+// sameEvent is one same-instant FIFO entry: the instant is the clock's.
+type sameEvent struct {
+	call Call
+	arg  any
+	n    int64
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -99,22 +122,28 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return e.q.pending() }
+func (e *Engine) Pending() int { return e.q.pending() + len(e.same) - e.sameHead }
 
-// WheelStats is a snapshot of the timing wheel's slow-path counters:
-// combined cascades run, events that ever took the overflow heap, and the
-// slab high-water mark (peak simultaneously-filed events). Deterministic
-// for a given seed — the wheel's behavior is a pure function of the event
+// WheelStats is a snapshot of the event queue's counters: events fired
+// (Events) and how many of them came from the same-instant FIFO
+// (SameInstant), so Events-SameInstant went through the wheel; combined
+// cascades run, events that ever took the overflow heap, and the slab
+// high-water mark (peak simultaneously-filed events). Deterministic for a
+// given seed — the queue's behavior is a pure function of the event
 // population.
 type WheelStats struct {
+	Events        uint64
+	SameInstant   uint64
 	Cascades      uint64
 	Overflow      uint64
 	SlabHighWater int
 }
 
-// WheelStats snapshots the engine's timing-wheel counters.
+// WheelStats snapshots the engine's event-queue counters.
 func (e *Engine) WheelStats() WheelStats {
 	return WheelStats{
+		Events:        e.processed,
+		SameInstant:   e.sameFired,
 		Cascades:      e.q.cascades,
 		Overflow:      e.q.overflowed,
 		SlabHighWater: len(e.q.slab),
@@ -146,15 +175,55 @@ func (e *Engine) ScheduleCall(delay Time, call Call, arg any, n int64) {
 
 // AtCall runs call(arg, n) at absolute time t; the closure-free form of At.
 func (e *Engine) AtCall(t Time, call Call, arg any, n int64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
+	if t <= e.now {
+		if t < e.now {
+			panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
+		}
+		e.same = append(e.same, sameEvent{call: call, arg: arg, n: n})
+		return
 	}
 	seq := e.seq
 	e.seq++
+	// The slab cell is filled one field at a time: a composite literal
+	// would be built on the stack and copied in.
 	if ev := e.q.insertSlot(t); ev != nil {
-		*ev = event{at: t, seq: seq, call: call, arg: arg, n: n}
+		ev.at, ev.seq, ev.call, ev.arg, ev.n = t, seq, call, arg, n
 	} else {
 		e.q.insertOverflow(event{at: t, seq: seq, call: call, arg: arg, n: n})
+	}
+}
+
+// popSame removes the same-instant FIFO's head and returns its handler and
+// argument words. The FIFO must be non-empty.
+func (e *Engine) popSame() (call Call, arg any, n int64) {
+	se := &e.same[e.sameHead]
+	call, arg, n = se.call, se.arg, se.n
+	se.call, se.arg = nil, nil
+	if e.sameHead++; e.sameHead == len(e.same) {
+		e.same, e.sameHead = e.same[:0], 0
+	}
+	return call, arg, n
+}
+
+// fireSame runs the same-instant FIFO's head at the current instant.
+func (e *Engine) fireSame() {
+	call, arg, n := e.popSame()
+	e.processed++
+	e.sameFired++
+	call(arg, n)
+}
+
+// parkBelow moves the clock back to deadline, below the current instant,
+// as RunUntil does when asked to stop short of it. The same-instant
+// FIFO's entries still belong to the instant they were scheduled for, so
+// they move to the wheel, in order; their fresh seqs exceed every queued
+// event's, so the firing order is unchanged.
+func (e *Engine) parkBelow(deadline Time) {
+	at := e.now
+	e.now = deadline
+	for e.sameHead < len(e.same) {
+		call, arg, n := e.popSame()
+		e.AtCall(at, call, arg, n)
 	}
 }
 
@@ -168,7 +237,14 @@ func (e *Engine) Stop() { e.stopped = true }
 // later resume consistently.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
+	if deadline < e.now {
+		e.parkBelow(deadline)
+	}
 	for !e.stopped {
+		if e.sameHead < len(e.same) && !e.q.queuedAt(e.now) {
+			e.fireSame()
+			continue
+		}
 		at, ok := e.q.nextAt()
 		if !ok {
 			break
@@ -192,6 +268,10 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped {
+		if e.sameHead < len(e.same) && !e.q.queuedAt(e.now) {
+			e.fireSame()
+			continue
+		}
 		if !e.q.findHead() {
 			break
 		}

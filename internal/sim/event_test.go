@@ -114,3 +114,95 @@ func BenchmarkEngineDeep(b *testing.B) {
 	left = b.N
 	e.Run()
 }
+
+// TestSameInstantNoAlloc pins steady-state delay-0 scheduling at zero
+// allocations: the same-instant FIFO's backing array is retained. Each
+// wheel event fans out into a chain of delay-0 children, as a packet
+// handler scheduling its next hop for the current instant does.
+func TestSameInstantNoAlloc(t *testing.T) {
+	e := NewEngine()
+	hits := 0
+	var chain Call
+	chain = func(_ any, n int64) {
+		hits++
+		if n > 0 {
+			e.ScheduleCall(0, chain, nil, n-1)
+			e.ScheduleCall(0, chain, nil, n-1)
+		}
+	}
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			e.ScheduleCall(Time(1+i%5), chain, nil, 3)
+		}
+		e.Run()
+	}
+	cycle() // size the slab and the FIFO
+	before := e.WheelStats()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("delay-0 scheduling allocates %v per cycle, want 0", avg)
+	}
+	// Per cycle: 64 roots, each with 2+4+8 delay-0 descendants.
+	after := e.WheelStats()
+	if got, want := after.SameInstant-before.SameInstant, uint64(101*64*14); got != want {
+		t.Fatalf("same-instant firings = %d, want %d", got, want)
+	}
+	if got, want := after.Events-before.Events, uint64(101*64*15); got != want {
+		t.Fatalf("events = %d, want %d", got, want)
+	}
+}
+
+// TestPendingCountsSameInstant checks that Pending includes the
+// same-instant FIFO, including entries left behind by a Stop mid-instant,
+// and that RunUntil resumes them in schedule order behind the wheel's own
+// events at that instant.
+func TestPendingCountsSameInstant(t *testing.T) {
+	e := NewEngine()
+	var order []int64
+	rec := Call(func(_ any, n int64) { order = append(order, n) })
+	e.AtCall(10, func(any, int64) {
+		order = append(order, 0)
+		e.ScheduleCall(0, rec, nil, 2)
+		e.ScheduleCall(0, rec, nil, 3)
+		e.Stop()
+	}, nil, 0)
+	e.AtCall(10, rec, nil, 1) // filed before the clock reached 10
+	e.AtCall(20, rec, nil, 4)
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", e.Pending())
+	}
+	e.RunUntil(100)
+	if e.Now() != 10 || e.Pending() != 4 {
+		t.Fatalf("after Stop: Now %d, Pending %d; want 10, 4", e.Now(), e.Pending())
+	}
+	e.ScheduleCall(0, rec, nil, 5) // between RunUntil calls
+	if e.Pending() != 5 {
+		t.Fatalf("Pending = %d, want 5", e.Pending())
+	}
+	e.RunUntil(100)
+	if e.Pending() != 0 || e.Now() != 100 {
+		t.Fatalf("after resume: Now %d, Pending %d; want 100, 0", e.Now(), e.Pending())
+	}
+	want := []int64{0, 1, 2, 3, 5, 4}
+	for i := range want {
+		if len(order) != len(want) || order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+// TestSameInstantDropsReferences checks that fired FIFO entries release
+// their handler and argument, so the retained backing array pins no
+// packets or closures for the garbage collector.
+func TestSameInstantDropsReferences(t *testing.T) {
+	e := NewEngine()
+	payload := new([64]byte)
+	for i := 0; i < 8; i++ {
+		e.ScheduleCall(0, func(any, int64) {}, payload, int64(i))
+	}
+	e.Run()
+	for i, se := range e.same[:cap(e.same)] {
+		if se.call != nil || se.arg != nil {
+			t.Fatalf("FIFO cell %d still holds call=%v arg=%v after firing", i, se.call != nil, se.arg)
+		}
+	}
+}

@@ -87,8 +87,13 @@ type wheelNode struct {
 // (initialization of the -1 sentinels is gated on first insert).
 type timerWheel struct {
 	inited bool
-	// wt is the wheel cursor. Invariant: wt never exceeds the time of any
-	// pending event, so every insert has a non-negative delta.
+	// wt is the wheel cursor. It only moves forward, and no event is
+	// filed in an upper level below it, so every upper-level insert has a
+	// non-negative delta and every upper slot decodes to one lap. Resolving
+	// the head can cascade it past instants a later schedule still targets
+	// (the engine's clock trails it after RunUntil parks at a deadline, or
+	// while same-instant events are pending); place sends those to level 0
+	// or the overflow heap, and popping them leaves the cursor where it is.
 	wt Time
 	// winEnd is the exclusive end of the l0Slots-aligned level-0 window.
 	// Invariant: every level-0 resident's instant is in
@@ -428,6 +433,27 @@ func (w *timerWheel) cascade(candSlot *[wheelLevels]int, candAt *[wheelLevels]Ti
 	}
 }
 
+// queuedAt reports whether an event at instant t is queued, given that
+// none is queued before t. It resolves the head only when an upper level
+// or the overflow heap might hold one at t (t >= above0Min), so asking
+// while events at t are still to be scheduled rarely cascades the cursor
+// past t.
+func (w *timerWheel) queuedAt(t Time) bool {
+	if w.headValid {
+		return w.headAt == t
+	}
+	if t >= w.winEnd-l0Slots && t < w.winEnd {
+		s := int(t) & l0Mask
+		if w.occ0[s>>6]&(1<<uint(s&63)) != 0 {
+			return true
+		}
+	}
+	if t < w.above0Min {
+		return false
+	}
+	return w.findHead() && w.headAt == t
+}
+
 // nextAt reports the earliest pending event time without removing it.
 func (w *timerWheel) nextAt() (Time, bool) {
 	if !w.findHead() {
@@ -444,7 +470,7 @@ func (w *timerWheel) popHead() (call Call, arg any, n int64) {
 	w.headValid = false
 	if w.headOverflow {
 		ev := w.overflow.pop()
-		w.wt = ev.at
+		w.wt = max(w.wt, ev.at)
 		if e := (ev.at &^ Time(l0Mask)) + l0Slots; e > w.winEnd {
 			w.winEnd = e
 		}
@@ -467,6 +493,6 @@ func (w *timerWheel) popHead() (call Call, arg any, n int64) {
 	nd.next = w.free
 	w.free = i
 	w.size--
-	w.wt = w.headAt
+	w.wt = max(w.wt, w.headAt)
 	return call, arg, n
 }

@@ -10,9 +10,10 @@ import (
 // oracle the wheel is replayed against: identical (at, seq) semantics with
 // none of the wheel's level/cascade/overflow machinery.
 type heapEngine struct {
-	h   eventHeap
-	now Time
-	seq uint64
+	h       eventHeap
+	now     Time
+	seq     uint64
+	stopped bool
 }
 
 func (r *heapEngine) Schedule(delay Time, fn func()) {
@@ -20,8 +21,13 @@ func (r *heapEngine) Schedule(delay Time, fn func()) {
 	r.h.push(event{at: r.now + delay, seq: r.seq, call: callFunc, arg: fn})
 }
 
+func (r *heapEngine) Now() Time    { return r.now }
+func (r *heapEngine) Pending() int { return r.h.len() }
+func (r *heapEngine) Stop()        { r.stopped = true }
+
 func (r *heapEngine) RunUntil(deadline Time) {
-	for r.h.len() > 0 {
+	r.stopped = false
+	for !r.stopped && r.h.len() > 0 {
 		if r.h.peek().at > deadline {
 			r.now = deadline
 			return
@@ -30,13 +36,14 @@ func (r *heapEngine) RunUntil(deadline Time) {
 		r.now = ev.at
 		ev.call(ev.arg, ev.n)
 	}
-	if r.now < deadline {
+	if r.now < deadline && !r.stopped {
 		r.now = deadline
 	}
 }
 
 func (r *heapEngine) Run() {
-	for r.h.len() > 0 {
+	r.stopped = false
+	for !r.stopped && r.h.len() > 0 {
 		ev := r.h.pop()
 		r.now = ev.at
 		ev.call(ev.arg, ev.n)
@@ -157,7 +164,11 @@ func TestWheelAgainstHeapOracle(t *testing.T) {
 // (timestamp, scheduling order). Ties split across levels are exactly the
 // case where a careless cascade breaks FIFO (an upper-level slot re-filed
 // after a lower one would jump the queue), so the program generator goes
-// out of its way to reuse earlier instants, including the current one.
+// out of its way to reuse earlier instants, including the current one,
+// which takes the same-instant FIFO behind whatever the wheel and the
+// overflow heap already hold there. Some ops call Stop, so a run can end in
+// the middle of an instant; the run is driven by RunUntil deadlines drawn
+// from the scheduled instants, with a Schedule(0, …) between calls.
 func FuzzWheelSameInstantFIFO(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 250, 7, 9, 40, 0, 0, 13, 200, 33, 33, 33, 33})
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 255, 255, 1, 0})
@@ -214,6 +225,9 @@ func FuzzWheelSameInstantFIFO(f *testing.F) {
 					}
 				}
 				schedule(at)
+				if a%16 == 5 {
+					e.Stop()
+				}
 			}
 			if pc < len(prog) {
 				c := Time(prog[pc])
@@ -221,7 +235,23 @@ func FuzzWheelSameInstantFIFO(f *testing.F) {
 			}
 		}
 		e.At(0, step)
-		e.Run()
+		for round := 0; e.Pending() > 0 && round < 64; round++ {
+			deadline := e.Now()
+			if len(instants) > 0 {
+				deadline = max(deadline, instants[round*7%len(instants)])
+			}
+			e.RunUntil(deadline)
+			if e.Now() > deadline {
+				t.Fatalf("RunUntil(%d) left the clock at %d", deadline, e.Now())
+			}
+			idx := scheduled
+			scheduled++
+			e.Schedule(0, func() { fired = append(fired, firedEv{e.Now(), idx}) })
+			instants = append(instants, e.Now())
+		}
+		for e.Pending() > 0 {
+			e.Run()
+		}
 
 		if len(fired) != scheduled {
 			t.Fatalf("fired %d of %d scheduled events", len(fired), scheduled)
@@ -282,5 +312,145 @@ func TestScheduleBelowWindowBase(t *testing.T) {
 	e2.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 9 {
 		t.Fatalf("order = %v, want [1 2 9]", order)
+	}
+}
+
+// replayEngine is the surface the same-instant replay drives: the engine
+// under test and the heapEngine oracle both provide it.
+type replayEngine interface {
+	Schedule(Time, func())
+	Now() Time
+	Pending() int
+	Stop()
+	RunUntil(Time)
+	Run()
+}
+
+// sameInstantReplay drives a randomized schedule built to pile events onto
+// shared instants from every distance at once: delay-0 children scheduled
+// from inside handlers, events aimed at upcoming "hub" instants from level
+// 0, from the upper levels and from beyond the horizon (the overflow heap),
+// and wheelDelay's spread. Handlers call Stop now and then, so a run stops
+// in the middle of an instant. The run is chopped into RunUntil segments
+// whose deadlines land on hub instants, with Schedule(0, …) between
+// segments and, after a Stop, one RunUntil that parks the clock below the
+// stopped instant. The rng is consulted in execution order, so two engines
+// produce identical traces iff they fire events in the identical order.
+// Every segment boundary records the clock and the pending count.
+func sameInstantReplay(e replayEngine, seed int64, budget int) []firing {
+	rng := rand.New(rand.NewSource(seed))
+	var trace []firing
+	created := 0
+	var spawn func(delay Time)
+	child := func() Time {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			// Aim at the next hub of a random coarseness; hubs at
+			// 4096-ns multiples sit in level 0 or level 1, the coarser
+			// ones arrive from the upper levels and the overflow heap.
+			h := []Time{l0Slots, 1 << levelShift(3), wheelHorizon}[rng.Intn(3)]
+			return (e.Now()/h+1+Time(rng.Intn(2)))*h - e.Now()
+		default:
+			return wheelDelay(rng)
+		}
+	}
+	spawn = func(delay Time) {
+		if created >= budget {
+			return
+		}
+		id := created
+		created++
+		e.Schedule(delay, func() {
+			trace = append(trace, firing{id, e.Now()})
+			if rng.Intn(64) == 0 {
+				e.Stop()
+			}
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				spawn(child())
+			}
+		})
+	}
+	for i := 0; i < 16; i++ {
+		spawn(child())
+	}
+	mark := func() {
+		trace = append(trace, firing{-1 - e.Pending(), e.Now()})
+	}
+	hubs := []Time{0, l0Slots, 3 * l0Slots, 1 << levelShift(3), 1 << levelShift(4), wheelHorizon, 3 * wheelHorizon}
+	for _, deadline := range hubs {
+		for {
+			e.RunUntil(deadline)
+			mark()
+			spawn(0)
+			if e.Now() == deadline {
+				break
+			}
+			if e.Now() > 0 {
+				// Stopped short of the deadline: park below the
+				// stopped instant before resuming.
+				e.RunUntil(e.Now() - 1)
+				mark()
+			}
+		}
+	}
+	for e.Pending() > 0 {
+		e.Run()
+		mark()
+	}
+	return trace
+}
+
+// TestSameInstantAgainstHeapOracle replays sameInstantReplay on the engine,
+// whose delay-0 events take the same-instant FIFO, and on the heap oracle,
+// which files every event by (at, seq), and demands identical traces.
+func TestSameInstantAgainstHeapOracle(t *testing.T) {
+	const budget = 60_000
+	for _, seed := range []int64{1, 7, 42, 1337} {
+		want := sameInstantReplay(&heapEngine{}, seed, budget)
+		e := NewEngine()
+		got := sameInstantReplay(e, seed, budget)
+		if e.WheelStats().SameInstant == 0 || e.WheelStats().Overflow == 0 {
+			t.Fatalf("seed %d: workload missed a regime: stats %+v", seed, e.WheelStats())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: trace lengths %d/%d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: traces diverge at entry %d: engine %+v, heap %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// Regression: resolving the head while the clock trails the wheel cursor
+// (here RunUntil parks the clock at a deadline after cascading toward a
+// far event) advances the cursor past instants a later schedule can still
+// target. Such a schedule is filed below the cursor (level 0 or the
+// overflow heap); popping it must not move the cursor back, or events
+// filed in upper levels relative to the advanced cursor decode one lap
+// early and jump ahead of same-instant events filed before them.
+func TestCursorNeverMovesBack(t *testing.T) {
+	e := NewEngine()
+	var order []int64
+	rec := func(_ any, n int64) { order = append(order, n) }
+	x := Time(1) << 41                   // a level-5 slot start
+	e.AtCall(x, rec, nil, 1)             // filed in level 5 from time 0
+	e.AtCall(x-Time(1)<<30, rec, nil, 0) // pulls the cursor to just below x
+	e.RunUntil(1000)                     // cascades toward it, parks at 1000
+	e.AtCall(x, rec, nil, 2)             // filed in level 4 against the advanced cursor
+	e.AtCall(1010, rec, nil, -1)         // below the cursor
+	e.RunUntil(1020)
+	e.Run()
+	want := []int64{-1, 0, 1, 2}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
 	}
 }
